@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,7 +200,6 @@ EVALUATE_OPTS = [
     Opt("out_dir", str, None, "directory for metric tables"),
     Opt("split", float, 0.8, "chronological split; the test side is evaluated"),
     Opt("horizons", str, "6,9,12", "accepted forecast horizons"),
-    Opt("jobs", int, 1, "parallel model evaluations"),
 ]
 
 REPORT_OPTS = [
@@ -380,8 +378,8 @@ def cmd_transfer(cfg: dict) -> int:
     return 0
 
 
-def _evaluate_one(model_path: str, series: ds.TimeSeries, split_ratio: float) -> dict[str, ev.MetricsTable]:
-    model, scaler, _ = model_io.load_model(model_path)
+def _evaluate_one(model_path: str, model: network.Seq2SeqModel, scaler: ds.ScalerParams | None,
+                  series: ds.TimeSeries, split_ratio: float) -> dict[str, ev.MetricsTable]:
     if scaler is None:
         raise DataError(f"{model_path}: model file carries no scaler; cannot evaluate")
     mc = model.config
@@ -402,23 +400,18 @@ def cmd_evaluate(cfg: dict) -> int:
     _require(cfg, "model", "data", "out_dir")
     horizons = {int(h) for h in cfg["horizons"].split(",") if h}
     series = _load_series(cfg["data"])
+    loaded = []
     for path in cfg["model"]:
-        model, _, _ = model_io.load_model(path)
+        model, scaler, _ = model_io.load_model(path)
         if model.config.n_future not in horizons:
             raise UsageError(
                 f"{path}: model horizon {model.config.n_future} not in "
                 f"accepted horizons {sorted(horizons)}"
             )
+        loaded.append((path, model, scaler))
     tables: dict[str, ev.MetricsTable] = {}
-    if cfg["jobs"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            futures = [pool.submit(_evaluate_one, p, series, cfg["split"])
-                       for p in cfg["model"]]
-            for future in futures:  # submission order keeps output deterministic
-                tables.update(future.result())
-    else:
-        for path in cfg["model"]:
-            tables.update(_evaluate_one(path, series, cfg["split"]))
+    for path, model, scaler in loaded:
+        tables.update(_evaluate_one(path, model, scaler, series, cfg["split"]))
     out_dir = Path(cfg["out_dir"])
     ev.emit_report(tables, None, out_dir)
     write_config_echo(cfg, out_dir / "evaluate_config.txt")

@@ -18,8 +18,11 @@ Transferred models carry the SHA-256 of their parent file in provenance.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -27,6 +30,7 @@ import numpy as np
 
 from .dataset import ScalerParams
 from .network import (
+    GATES,
     DenseParams,
     LstmParams,
     ModelConfig,
@@ -81,15 +85,43 @@ def save_model(model: Seq2SeqModel, scaler: ScalerParams | None, provenance: dic
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    # a length field that runs past the end of the file is truncation; it is
+    # checked before reading so a corrupt length never becomes an allocation
+    if n > os.fstat(fh.fileno()).st_size - fh.tell():
         raise ValueError(f"{path}: truncated model file while reading {what}")
-    return data
+    return fh.read(n)
+
+
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _from_header(cls, blob, path, what: str):
+    """Build a header dataclass from a JSON object holding exactly its fields."""
+    types = {f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(cls)}
+    if not isinstance(blob, dict) or set(blob) != set(types):
+        raise ValueError(f"{path}: header '{what}' must be an object with keys {sorted(types)}")
+    for name, value in blob.items():
+        if type(value) not in types[name]:
+            raise ValueError(f"{path}: header '{what}.{name}' has type {type(value).__name__}")
+    return cls(**blob)
+
+
+def _block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every weight block the config implies."""
+    hid = config.hidden
+    shapes = {}
+    for prefix, width in (("enc", 1), ("dec", hid)):
+        shapes.update({f"{prefix}.w{g}": (hid, hid + width) for g in GATES})
+        shapes.update({f"{prefix}.b{g}": (hid,) for g in GATES})
+    shapes["out.w"] = (output_width(config),)
+    shapes["out.b"] = (1,)
+    return shapes
 
 
 def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
     """Read a model file back; rejects bad magic, newer versions, truncation,
-    and weight shapes that contradict the stored config."""
+    malformed headers, and weight blocks whose name or shape contradicts the
+    stored config (checked before the block's data is read)."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
@@ -101,57 +133,52 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
                 f"{path}: unsupported format version {version} (this build reads <= {VERSION})"
             )
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
+        blob = _read_exact(fh, hlen, path, "header")
         try:
-            header = json.loads(_read_exact(fh, hlen, path, "header"))
-        except json.JSONDecodeError as exc:
+            header = json.loads(blob)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
             raise ValueError(f"{path}: corrupt header: {exc}") from exc
-        config = ModelConfig(**header["config"])
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
+        config = _from_header(ModelConfig, header.get("config"), path, "config")
         scaler_blob = header.get("scaler")
-        scaler = None if scaler_blob is None else ScalerParams(**scaler_blob)
+        scaler = None if scaler_blob is None else _from_header(ScalerParams, scaler_blob, path, "scaler")
         provenance = header.get("provenance", {})
 
+        expected = _block_shapes(config)
         (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, path, "block count"))
         blocks: dict[str, np.ndarray] = {}
         for _ in range(n_blocks):
             (nlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "block name length"))
             name = _read_exact(fh, nlen, path, "block name").decode("utf-8")
+            if name not in expected or name in blocks:
+                raise ValueError(f"{path}: unexpected or repeated weight block '{name}'")
+            shape = expected[name]
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path, "block ndim"))
+            if ndim != len(shape):
+                raise ValueError(f"{path}: block '{name}' has {ndim} dims, config implies {shape}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "block dims"))
-            count = int(np.prod(dims)) if ndim else 1
-            raw = _read_exact(fh, 8 * count, path, f"block '{name}' data")
-            blocks[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+            if dims != shape:
+                raise ValueError(
+                    f"{path}: block '{name}' has shape {dims}, config implies {shape}"
+                )
+            raw = _read_exact(fh, 8 * math.prod(shape), path, f"block '{name}' data")
+            blocks[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last weight block")
+    missing = sorted(set(expected) - set(blocks))
+    if missing:
+        raise ValueError(f"{path}: weight blocks {missing} missing")
+    return _assemble(config, blocks), scaler, provenance
 
-    model = _assemble(config, blocks, path)
-    return model, scaler, provenance
 
-
-def _assemble(config: ModelConfig, blocks: dict[str, np.ndarray], path) -> Seq2SeqModel:
-    hid = config.hidden
-    expected = {}
-    for prefix, width in (("enc", 1), ("dec", hid)):
-        for g in "fico":
-            expected[f"{prefix}.w{g}"] = (hid, hid + width)
-            expected[f"{prefix}.b{g}"] = (hid,)
-    expected["out.w"] = (output_width(config),)
-    expected["out.b"] = (1,)
-    if set(blocks) != set(expected):
-        raise ValueError(
-            f"{path}: weight blocks {sorted(set(blocks) ^ set(expected))} "
-            f"missing or unexpected"
-        )
-    for name, shape in expected.items():
-        if blocks[name].shape != shape:
-            raise ValueError(
-                f"{path}: block '{name}' has shape {blocks[name].shape}, "
-                f"config implies {shape}"
-            )
+def _assemble(config: ModelConfig, blocks: dict[str, np.ndarray]) -> Seq2SeqModel:
+    """Stack the per-gate blocks of the file into the in-memory layout."""
 
     def lstm(prefix: str) -> LstmParams:
         return LstmParams(
-            *(blocks[f"{prefix}.w{g}"] for g in "fico"),
-            *(blocks[f"{prefix}.b{g}"] for g in "fico"),
+            w=np.concatenate([blocks[f"{prefix}.w{g}"] for g in GATES]),
+            b=np.concatenate([blocks[f"{prefix}.b{g}"] for g in GATES]),
         )
 
     return Seq2SeqModel(

@@ -11,9 +11,10 @@ the concatenation of attention context and decoder hidden state
 Attention scores are unscaled dot products between decoder and encoder
 hidden states, softmax-normalized over encoder positions.
 
-All internals run batched, time-major (step, batch, width); the public
-single-window operations wrap a batch of one so there is exactly one
-numeric path.
+Everything runs batched, time-major (step, batch, width); a single
+window is a batch of one.  Each LSTM keeps its four gates stacked in one
+weight matrix, so a step is one GEMM (Appleyard, Kocisky & Blunsom 2016,
+arXiv:1604.01946, section 3); ``param_items`` names the per-gate blocks.
 """
 
 from __future__ import annotations
@@ -42,37 +43,27 @@ class ModelConfig:
 
 @dataclass
 class LstmParams:
-    """One LSTM's weights: per gate, W (hidden x (hidden + input)) and bias.
+    """One LSTM's weights, the gates stacked in ``GATES`` order.
 
-    The concatenated-input convention: gate preactivation is
-    W @ [h_prev, x] + b.
+    Gate preactivations are W @ [h_prev, x] + b; rows k*hidden to
+    (k+1)*hidden of W and b belong to gate ``GATES[k]``.
     """
 
-    wf: np.ndarray
-    wi: np.ndarray
-    wc: np.ndarray
-    wo: np.ndarray
-    bf: np.ndarray
-    bi: np.ndarray
-    bc: np.ndarray
-    bo: np.ndarray
+    w: np.ndarray  # (4 hidden, hidden + input)
+    b: np.ndarray  # (4 hidden,)
 
     def __post_init__(self):
-        shapes_w = {self.wf.shape, self.wi.shape, self.wc.shape, self.wo.shape}
-        shapes_b = {self.bf.shape, self.bi.shape, self.bc.shape, self.bo.shape}
-        if len(shapes_w) != 1 or len(shapes_b) != 1:
-            raise ValueError(f"gate shapes differ: weights {shapes_w}, biases {shapes_b}")
-        h, cols = self.wf.shape
-        if self.bf.shape != (h,) or cols <= h:
-            raise ValueError(f"inconsistent LSTM shapes: W {self.wf.shape}, b {self.bf.shape}")
+        rows, cols = self.w.shape
+        if rows % len(GATES) or self.b.shape != (rows,) or cols <= rows // len(GATES):
+            raise ValueError(f"inconsistent LSTM shapes: W {self.w.shape}, b {self.b.shape}")
 
     @property
     def hidden(self) -> int:
-        return self.wf.shape[0]
+        return self.w.shape[0] // len(GATES)
 
     @property
     def input_width(self) -> int:
-        return self.wf.shape[1] - self.wf.shape[0]
+        return self.w.shape[1] - self.hidden
 
 
 @dataclass
@@ -84,23 +75,6 @@ class DenseParams:
 
 
 @dataclass
-class LstmState:
-    """Hidden and cell state after a step, with the gate activations that
-    produced it (needed for backprop; None on fresh zero states)."""
-
-    h: np.ndarray
-    c: np.ndarray
-    f: np.ndarray | None = None
-    i: np.ndarray | None = None
-    g: np.ndarray | None = None  # candidate values (tanh branch)
-    o: np.ndarray | None = None
-
-    @classmethod
-    def zeros(cls, hidden: int) -> "LstmState":
-        return cls(h=np.zeros(hidden), c=np.zeros(hidden))
-
-
-@dataclass
 class Seq2SeqModel:
     config: ModelConfig
     encoder: LstmParams
@@ -108,35 +82,32 @@ class Seq2SeqModel:
     output: DenseParams
 
 
-@dataclass
-class EncoderOutput:
-    """Final state plus the full hidden stack h_1..h_T (stack[T-1] is final.h)."""
-
-    final: LstmState
-    stack: np.ndarray  # (n_past, hidden)
-
-
-@dataclass
-class AttentionTrace:
-    """Per-step attention rows (each a probability vector over encoder
-    positions) and the context vectors they produced."""
-
-    weights: np.ndarray   # (n_future, n_past)
-    contexts: np.ndarray  # (n_future, hidden)
-
-
 def output_width(config: ModelConfig) -> int:
     return 2 * config.hidden if config.attention else config.hidden
 
 
+def _gate_blocks(stacked: np.ndarray, axis: int = 0) -> list[np.ndarray]:
+    """Views of the GATES-ordered blocks of ``stacked`` along ``axis``."""
+    hid = stacked.shape[axis] // len(GATES)
+    lead = (slice(None),) * axis
+    return [stacked[lead + (slice(k * hid, (k + 1) * hid),)] for k in range(len(GATES))]
+
+
+def _gate_items(prefix: str, w: np.ndarray, b: np.ndarray) -> list[tuple[str, np.ndarray]]:
+    """Per-gate (name, row-slice view) pairs of a stacked weight and bias."""
+    return [(f"{prefix}.{kind}{g}", block)
+            for kind, stacked in (("w", w), ("b", b))
+            for g, block in zip(GATES, _gate_blocks(stacked))]
+
+
 def param_items(model: Seq2SeqModel) -> list[tuple[str, np.ndarray]]:
-    """Flat (name, array) view of every learnable block, fixed order."""
-    items = []
-    for prefix, lstm in (("enc", model.encoder), ("dec", model.decoder)):
-        for g in GATES:
-            items.append((f"{prefix}.w{g}", getattr(lstm, f"w{g}")))
-        for g in GATES:
-            items.append((f"{prefix}.b{g}", getattr(lstm, f"b{g}")))
+    """Flat (name, array) view of every learnable block, fixed order.
+
+    Gate blocks are views into the stacked LSTM arrays, so in-place updates
+    through them update the model.
+    """
+    items = _gate_items("enc", model.encoder.w, model.encoder.b)
+    items += _gate_items("dec", model.decoder.w, model.decoder.b)
     items.append(("out.w", model.output.w))
     items.append(("out.b", model.output.b))
     return items
@@ -144,8 +115,7 @@ def param_items(model: Seq2SeqModel) -> list[tuple[str, np.ndarray]]:
 
 def copy_model(model: Seq2SeqModel) -> Seq2SeqModel:
     def cp(lstm: LstmParams) -> LstmParams:
-        return LstmParams(*(getattr(lstm, f"w{g}").copy() for g in GATES),
-                          *(getattr(lstm, f"b{g}").copy() for g in GATES))
+        return LstmParams(w=lstm.w.copy(), b=lstm.b.copy())
 
     return Seq2SeqModel(
         config=ModelConfig(**vars(model.config)),
@@ -165,9 +135,9 @@ def _glorot(rows: int, cols: int, rng: Rng) -> np.ndarray:
 
 
 def _init_lstm(hidden: int, input_width: int, rng: Rng) -> LstmParams:
-    weights = [_glorot(hidden, hidden + input_width, rng) for _ in GATES]
-    biases = [np.zeros(hidden) for _ in GATES]
-    return LstmParams(*weights, *biases)
+    # one Glorot draw per gate block, each bounded by the block's own fan-in/out
+    w = np.concatenate([_glorot(hidden, hidden + input_width, rng) for _ in GATES])
+    return LstmParams(w=w, b=np.zeros(len(GATES) * hidden))
 
 
 def init(config: ModelConfig, rng: Rng) -> Seq2SeqModel:
@@ -190,34 +160,12 @@ def init_output_layer(config: ModelConfig, rng: Rng) -> DenseParams:
     return DenseParams(w=_glorot(1, width, rng).reshape(width), b=np.zeros(1))
 
 
-def lstm_step(params: LstmParams, x: np.ndarray, prev: LstmState) -> LstmState:
-    """Single cell update on vectors; returns the new state with cached gates."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if len(x) != params.input_width:
-        raise ValueError(f"input width {len(x)} != expected {params.input_width}")
-    if prev.h.shape != (params.hidden,) or prev.c.shape != (params.hidden,):
-        raise ValueError(
-            f"state shapes {prev.h.shape}/{prev.c.shape} != hidden {params.hidden}"
-        )
-    z = np.concatenate([prev.h, x])
-    f = sigmoid(params.wf @ z + params.bf)
-    i = sigmoid(params.wi @ z + params.bi)
-    g = np.tanh(params.wc @ z + params.bc)
-    o = sigmoid(params.wo @ z + params.bo)
-    c = f * prev.c + i * g
-    h = o * np.tanh(c)
-    return LstmState(h=h, c=c, f=f, i=i, g=g, o=o)
-
-
 @dataclass
 class _SeqCache:
     """Everything the reversed pass needs from one LSTM run."""
 
     z: np.ndarray       # (T, B, hidden+input): concatenated [h_prev, x]
-    f: np.ndarray
-    i: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
+    gates: np.ndarray   # (T, B, 4 hidden): activated f, i, g (candidate), o
     c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray       # (T, B, hidden)
@@ -229,22 +177,23 @@ def _run_lstm(params: LstmParams, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray
     hid = params.hidden
     shape = (T, B, hid)
     cache = _SeqCache(
-        z=np.empty((T, B, hid + width)), f=np.empty(shape), i=np.empty(shape),
-        g=np.empty(shape), o=np.empty(shape), c=np.empty(shape),
-        tanh_c=np.empty(shape), h=np.empty(shape), c0=c0,
+        z=np.empty((T, B, hid + width)), gates=np.empty((T, B, len(GATES) * hid)),
+        c=np.empty(shape), tanh_c=np.empty(shape), h=np.empty(shape), c0=c0,
     )
+    cand = slice(2 * hid, 3 * hid)
     h, c = h0, c0
     for t in range(T):
-        z = np.concatenate([h, xs[t]], axis=1)
-        f = sigmoid(z @ params.wf.T + params.bf)
-        i = sigmoid(z @ params.wi.T + params.bi)
-        g = np.tanh(z @ params.wc.T + params.bc)
-        o = sigmoid(z @ params.wo.T + params.bo)
+        z = cache.z[t]
+        z[:, :hid] = h
+        z[:, hid:] = xs[t]
+        pre = z @ params.w.T + params.b
+        act = sigmoid(pre)
+        act[:, cand] = np.tanh(pre[:, cand])
+        f, i, g, o = _gate_blocks(act, axis=1)
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        cache.z[t], cache.f[t], cache.i[t], cache.g[t], cache.o[t] = z, f, i, g, o
-        cache.c[t], cache.tanh_c[t], cache.h[t] = c, tc, h
+        cache.gates[t], cache.c[t], cache.tanh_c[t], cache.h[t] = act, c, tc, h
     return cache
 
 
@@ -254,46 +203,42 @@ def _lstm_backward(
     dh_seq: np.ndarray,
     dh_final: np.ndarray,
     dc_final: np.ndarray,
-) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Reverse the recurrence.
 
     dh_seq carries external gradients on each h_t; dh_final/dc_final are
-    extra gradients on the last state.  Returns per-gate weight grads, the
-    gradient on the input sequence, and gradients on the initial state.
+    extra gradients on the last state.  Returns the stacked weight and bias
+    grads, the gradient on the input sequence, and gradients on the
+    initial state.
     """
     T, B, _ = dh_seq.shape
     hid = params.hidden
-    grads = {f"w{g}": np.zeros_like(getattr(params, f"w{g}")) for g in GATES}
-    grads.update({f"b{g}": np.zeros_like(getattr(params, f"b{g}")) for g in GATES})
+    dpre_seq = np.empty_like(cache.gates)
     dx = np.empty((T, B, params.input_width))
     dh_carry = dh_final.copy()
     dc_carry = dc_final.copy()
     for t in reversed(range(T)):
+        f, i, g, o = _gate_blocks(cache.gates[t], axis=1)
+        tc = cache.tanh_c[t]
         dh = dh_seq[t] + dh_carry
-        do = dh * cache.tanh_c[t]
-        dc = dh * cache.o[t] * (1.0 - cache.tanh_c[t] ** 2) + dc_carry
+        dc = dh * o * (1.0 - tc ** 2) + dc_carry
         c_prev = cache.c[t - 1] if t > 0 else cache.c0
-        df = dc * c_prev
-        di = dc * cache.g[t]
-        dg = dc * cache.i[t]
-        dc_carry = dc * cache.f[t]
-        dzf = df * cache.f[t] * (1.0 - cache.f[t])
-        dzi = di * cache.i[t] * (1.0 - cache.i[t])
-        dzg = dg * (1.0 - cache.g[t] ** 2)
-        dzo = do * cache.o[t] * (1.0 - cache.o[t])
-        z = cache.z[t]
-        grads["wf"] += dzf.T @ z
-        grads["wi"] += dzi.T @ z
-        grads["wc"] += dzg.T @ z
-        grads["wo"] += dzo.T @ z
-        grads["bf"] += dzf.sum(axis=0)
-        grads["bi"] += dzi.sum(axis=0)
-        grads["bc"] += dzg.sum(axis=0)
-        grads["bo"] += dzo.sum(axis=0)
-        dz = dzf @ params.wf + dzi @ params.wi + dzg @ params.wc + dzo @ params.wo
+        dpre = dpre_seq[t]
+        np.concatenate([
+            dc * c_prev * f * (1.0 - f),
+            dc * g * i * (1.0 - i),
+            dc * i * (1.0 - g ** 2),
+            dh * tc * o * (1.0 - o),
+        ], axis=1, out=dpre)
+        dc_carry = dc * f
+        dz = dpre @ params.w
         dh_carry = dz[:, :hid]
         dx[t] = dz[:, hid:]
-    return grads, dx, dh_carry, dc_carry
+    # weight and bias grads sum over every (step, window) row at once
+    dpre_rows = dpre_seq.reshape(T * B, -1)
+    dw = dpre_rows.T @ cache.z.reshape(T * B, -1)
+    db = dpre_rows.sum(axis=0)
+    return dw, db, dx, dh_carry, dc_carry
 
 
 @dataclass
@@ -373,86 +318,18 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
         ddec_seq = dfeats.copy()
 
     zero = np.zeros((B, hid))
-    dec_grads, dx_dec, ddec_h0, ddec_c0 = _lstm_backward(
+    dec_dw, dec_db, dx_dec, ddec_h0, ddec_c0 = _lstm_backward(
         model.decoder, cache.dec, ddec_seq, zero, zero
     )
     # decoder consumed h_final both as repeated input and as initial hidden state
     dh_final = dx_dec.sum(axis=0) + ddec_h0
     dc_final = ddec_c0
-    enc_grads, _, _, _ = _lstm_backward(model.encoder, cache.enc, denc_seq, dh_final, dc_final)
+    enc_dw, enc_db, _, _, _ = _lstm_backward(model.encoder, cache.enc, denc_seq, dh_final, dc_final)
 
-    grads = {f"enc.{k}": v for k, v in enc_grads.items()}
-    grads.update({f"dec.{k}": v for k, v in dec_grads.items()})
+    grads = dict(_gate_items("enc", enc_dw, enc_db) + _gate_items("dec", dec_dw, dec_db))
     grads["out.w"] = dout_w
     grads["out.b"] = dout_b
     return grads
-
-
-def encode(model: Seq2SeqModel, window: np.ndarray) -> EncoderOutput:
-    """Run the encoder over one window from the zero initial state."""
-    window = np.asarray(window, dtype=np.float64).reshape(-1)
-    if len(window) != model.config.n_past:
-        raise ValueError(f"window length {len(window)} != n_past {model.config.n_past}")
-    cache = _run_lstm(
-        model.encoder,
-        window[:, None, None],
-        np.zeros((1, model.config.hidden)),
-        np.zeros((1, model.config.hidden)),
-    )
-    final = LstmState(
-        h=cache.h[-1, 0].copy(), c=cache.c[-1, 0].copy(),
-        f=cache.f[-1, 0], i=cache.i[-1, 0], g=cache.g[-1, 0], o=cache.o[-1, 0],
-    )
-    return EncoderOutput(final=final, stack=cache.h[:, 0, :].copy())
-
-
-def _decode(model: Seq2SeqModel, enc: EncoderOutput) -> _SeqCache:
-    cfg = model.config
-    h_final = enc.final.h[None, :]
-    c_final = enc.final.c[None, :]
-    xs_dec = np.broadcast_to(h_final, (cfg.n_future, 1, cfg.hidden))
-    return _run_lstm(model.decoder, xs_dec, h_final, c_final)
-
-
-def decode_plain(model: Seq2SeqModel, enc: EncoderOutput) -> np.ndarray:
-    """Forecast from the encoder summary; the shared affine layer maps each
-    decoder hidden state to one scalar."""
-    if model.config.attention:
-        raise ValueError("decode_plain called on an attention model")
-    dec = _decode(model, enc)
-    return dec.h[:, 0, :] @ model.output.w + model.output.b[0]
-
-
-def decode_attention(model: Seq2SeqModel, enc: EncoderOutput) -> tuple[np.ndarray, AttentionTrace]:
-    """Forecast with dot-product attention over the encoder hidden stack."""
-    if not model.config.attention:
-        raise ValueError("decode_attention called on a model without attention")
-    dec = _decode(model, enc)
-    dec_h = dec.h[:, 0, :]                      # (n_future, hidden)
-    scores = dec_h @ enc.stack.T                # (n_future, n_past)
-    weights = softmax(scores, axis=-1)
-    contexts = weights @ enc.stack              # (n_future, hidden)
-    feats = np.concatenate([contexts, dec_h], axis=1)
-    preds = feats @ model.output.w + model.output.b[0]
-    return preds, AttentionTrace(weights=weights, contexts=contexts)
-
-
-def forward(model: Seq2SeqModel, window: np.ndarray) -> np.ndarray:
-    """Predictions for a single window (either architecture)."""
-    window = np.asarray(window, dtype=np.float64).reshape(-1)
-    return forward_batch(model, window[None, :]).preds[0]
-
-
-def backward(model: Seq2SeqModel, window: np.ndarray, loss_grad: np.ndarray) -> dict[str, np.ndarray]:
-    """Single-window gradients given dLoss/dpredictions."""
-    window = np.asarray(window, dtype=np.float64).reshape(-1)
-    loss_grad = np.asarray(loss_grad, dtype=np.float64).reshape(-1)
-    if len(loss_grad) != model.config.n_future:
-        raise ValueError(
-            f"loss gradient length {len(loss_grad)} != n_future {model.config.n_future}"
-        )
-    cache = forward_batch(model, window[None, :])
-    return backward_batch(model, cache, loss_grad[None, :])
 
 
 def predict_batch(model: Seq2SeqModel, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:

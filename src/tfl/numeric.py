@@ -100,32 +100,16 @@ class Rng:
             indices[i], indices[j] = indices[j], indices[i]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def sigmoid(x):
-    """Numerically stable logistic; saturates cleanly for large |x|."""
+    """Numerically stable logistic; saturates cleanly for large |x|.
+
+    exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x)
+    elsewhere, so each side of the select is the stable form for its sign.
+    Computing both sides costs less than gathering each sign's elements.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def tanh(x):
-    out = np.tanh(np.asarray(x, dtype=np.float64))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     if out.ndim == 0:
         return float(out)
     return out

@@ -89,17 +89,16 @@ def test_criterion_4_attention_normalization():
                                   hidden=int(hidden), attention=True)
             model = net.init(cfg, Rng(6000 + k))
             window = Rng(7000 + k).uniform_array(int(n_past), 0, 1)
-            _, trace = net.decode_attention(model, net.encode(model, window))
-            assert np.all(trace.weights >= 0)
-            npt.assert_allclose(trace.weights.sum(axis=1), 1.0, atol=1e-12)
+            attn = net.forward_batch(model, window[None, :]).attn
+            assert np.all(attn >= 0)
+            npt.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
         for k in range(10):
             cfg = net.ModelConfig(n_past=1, n_future=4, hidden=6, attention=True)
             model = net.init(cfg, Rng(8000 + k))
-            enc = net.encode(model, [0.1 + 0.05 * k])
-            _, trace = net.decode_attention(model, enc)
+            cache = net.forward_batch(model, [[0.1 + 0.05 * k]])
             for s in range(4):
-                npt.assert_array_equal(trace.contexts[s], enc.stack[0])
-            npt.assert_array_equal(trace.weights, np.ones((4, 1)))
+                npt.assert_array_equal(cache.ctx[s], cache.enc.h[0])
+            npt.assert_array_equal(cache.attn, np.ones((4, 1, 1)))
 
 
 def test_criterion_5_freeze_invariance():

@@ -165,20 +165,6 @@ class TestTrainEvaluate:
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], full.values[: int(0.8 * len(full))])
 
-    def test_parallel_jobs_match_serial(self, tmp_path, series_csv):
-        m1, m2 = tmp_path / "a.tfl", tmp_path / "b.tfl"
-        assert main(train_args(series_csv, m1)) == 0
-        assert main(train_args(series_csv, m2, seed="8")) == 0
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        for out_dir, jobs in ((serial, "1"), (parallel, "2")):
-            assert main(["evaluate", "--model", f"{m1},{m2}",
-                         "--data", str(series_csv), "--out-dir", str(out_dir),
-                         "--horizons", "3", "--jobs", jobs]) == 0
-        names = sorted(p.name for p in serial.glob("*.csv"))
-        assert names
-        for name in names:
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
-
 
 class TestTransferCli:
     def test_transfer_records_parent_and_phases(self, tmp_path, series_csv):
@@ -244,3 +230,38 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("timestamp,bps\n0,10\n300,broken\n")
         assert main(["stats", "--data", str(bad)]) == 2
+
+
+# SHA-256 of (adapted model, its raw-unit metrics CSV) from TestGoldenHash,
+# taken with numpy 2.4.6 on OpenBLAS (x86-64); another BLAS may round the
+# GEMMs differently in the last bit.  A change that moves these on purpose
+# updates them and records the old and new values in CHANGES.md.
+GOLDEN = {
+    False: ("f59ef9fd21df691833cc8c767092774bcaf1c018da379db84ce81c034dbd5045",
+            "707fca0d0c00566b4972feca73b26823b902a5e00ff7e0882dad655a4bb96edf"),
+    True: ("70d74b0f5897f8d31db559dad6fce1a8bac582119370b7b3384e67d41a9c7a4a",
+           "c85e09e459f439fc28e258f8bd7b653f6d39393678f0c68f0626af8f6d4187cf"),
+}
+
+
+class TestGoldenHash:
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_train_transfer_evaluate_bits_pinned(self, tmp_path, series_csv, attention):
+        source = tmp_path / "source.tfl"
+        flag = "--attention" if attention else "--no-attention"
+        assert main(train_args(series_csv, source) + [flag]) == 0
+        target_csv = tmp_path / "target.csv"
+        assert main(["synth", "--out", str(target_csv), "--length", "240",
+                     "--base-bps", "3e8", "--daily-amp", "1e8",
+                     "--noise-std", "1e7", "--seed", "21"]) == 0
+        adapted = tmp_path / "adapted.tfl"
+        assert main(["transfer", "--source-model", str(source),
+                     "--data", str(target_csv), "--out", str(adapted),
+                     "--phase1-epochs", "1", "--phase2-epochs", "1",
+                     "--batch", "16", "--seed", "5"]) == 0
+        out_dir = tmp_path / "eval"
+        assert main(["evaluate", "--model", str(adapted), "--data", str(target_csv),
+                     "--out-dir", str(out_dir), "--horizons", "3"]) == 0
+        hashes = (mio.file_sha256(adapted), mio.file_sha256(out_dir / "metrics_adapted_raw.csv"))
+        assert hashes == GOLDEN[attention]
+

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy.testing as npt
@@ -5,6 +6,7 @@ import pytest
 
 from tfl import model_io as mio
 from tfl import network as net
+from tfl.cli import main
 from tfl.dataset import ScalerParams
 from tfl.numeric import Rng
 
@@ -15,6 +17,33 @@ def make_model(attention=False, seed=5):
 
 
 PROV = {"seed": 42, "epochs": 10, "parent_sha256": None}
+
+
+def with_header(raw: bytes, edit) -> bytes:
+    """The model file ``raw`` with its JSON header replaced by edit(header)."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    blob = json.dumps(edit(json.loads(raw[12 : 12 + hlen]))).encode()
+    return raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen:]
+
+
+def with_first_dims(raw: bytes, dims: tuple[int, int]) -> bytes:
+    """The model file ``raw`` with the first weight block's 2-D dims replaced."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    at = 12 + hlen + 4                                  # past the block count
+    (nlen,) = struct.unpack("<I", raw[at : at + 4])
+    at += 4 + nlen + 4                                  # past name and ndim
+    return raw[:at] + struct.pack("<2I", *dims) + raw[at + 8:]
+
+
+# each malformed file, built from a valid one, and the message it must give
+MALFORMED = {
+    "unknown_config_key": (lambda raw: with_header(raw, lambda h: {
+        **h, "config": {**h["config"], "dropout": 0.1}}), "header 'config'"),
+    "missing_config": (lambda raw: with_header(
+        raw, lambda h: {k: v for k, v in h.items() if k != "config"}), "header 'config'"),
+    "list_header": (lambda raw: with_header(raw, lambda h: [h]), "not a JSON object"),
+    "huge_block_dims": (lambda raw: with_first_dims(raw, (2 ** 31, 2 ** 31)), "config implies"),
+}
 
 
 class TestRoundTrip:
@@ -50,8 +79,9 @@ class TestRoundTrip:
         path = tmp_path / "m.tfl"
         mio.save_model(model, None, {}, path)
         loaded, _, _ = mio.load_model(path)
-        window = Rng(9).uniform_array(6, 0, 1)
-        npt.assert_array_equal(net.forward(model, window), net.forward(loaded, window))
+        windows = Rng(9).uniform_array(12, 0, 1).reshape(2, 6)
+        npt.assert_array_equal(net.forward_batch(model, windows).preds,
+                               net.forward_batch(loaded, windows).preds)
 
 
 class TestRejection:
@@ -99,6 +129,37 @@ class TestRejection:
         out = raw[:8] + struct.pack("<I", len(patched)) + patched + raw[12 + hlen:]
         path.write_bytes(out)
         with pytest.raises(ValueError, match="shape"):
+            mio.load_model(path)
+
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_header_or_block_rejected(self, tmp_path, capsys, case):
+        path = tmp_path / "m.tfl"
+        mio.save_model(make_model(), ScalerParams(0.0, 1.0), PROV, path)
+        corrupt, message = MALFORMED[case]
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
+            mio.load_model(path)
+        # the CLI reads the source model first, so the data file is never opened
+        assert main(["transfer", "--source-model", str(path), "--data", str(tmp_path / "none.csv"),
+                     "--out", str(tmp_path / "out.tfl")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+
+    def test_unknown_scaler_key_rejected(self, tmp_path):
+        path = tmp_path / "m.tfl"
+        mio.save_model(make_model(), ScalerParams(0.0, 1.0), PROV, path)
+        path.write_bytes(with_header(path.read_bytes(), lambda h: {
+            **h, "scaler": {**h["scaler"], "mean": 0.5}}))
+        with pytest.raises(ValueError, match="header 'scaler'"):
+            mio.load_model(path)
+
+    def test_mistyped_config_value_rejected(self, tmp_path):
+        path = tmp_path / "m.tfl"
+        mio.save_model(make_model(), None, PROV, path)
+        path.write_bytes(with_header(path.read_bytes(), lambda h: {
+            **h, "config": {**h["config"], "hidden": "4"}}))
+        with pytest.raises(ValueError, match="'config.hidden' has type str"):
             mio.load_model(path)
 
 

@@ -9,9 +9,8 @@ from tfl.numeric import Rng, sigmoid
 
 
 def zero_lstm(hidden: int, input_width: int) -> net.LstmParams:
-    w = [np.zeros((hidden, hidden + input_width)) for _ in range(4)]
-    b = [np.zeros(hidden) for _ in range(4)]
-    return net.LstmParams(*w, *b)
+    return net.LstmParams(w=np.zeros((4 * hidden, hidden + input_width)),
+                          b=np.zeros(4 * hidden))
 
 
 def zero_model(n_past=4, n_future=3, hidden=5, attention=False) -> net.Seq2SeqModel:
@@ -26,118 +25,147 @@ def zero_model(n_past=4, n_future=3, hidden=5, attention=False) -> net.Seq2SeqMo
     )
 
 
+def ref_step(params: net.LstmParams, x, h, c):
+    """Independent per-vector LSTM cell, one matrix-vector product per gate
+    (gate k owns rows k*hidden:(k+1)*hidden).  Returns (h, c, gates)."""
+    hid = params.hidden
+    z = np.concatenate([h, np.asarray(x, dtype=np.float64).reshape(-1)])
+
+    def gate(k, activation):
+        rows = slice(k * hid, (k + 1) * hid)
+        return activation(params.w[rows] @ z + params.b[rows])
+
+    f, i, g, o = gate(0, sigmoid), gate(1, sigmoid), gate(2, np.tanh), gate(3, sigmoid)
+    c = f * c + i * g
+    return o * np.tanh(c), c, (f, i, g, o)
+
+
+def ref_encode(model: net.Seq2SeqModel, window):
+    """Encoder hidden stack (n_past, hidden) and final (h, c), step by step."""
+    h = c = np.zeros(model.config.hidden)
+    stack = []
+    for v in window:
+        h, c, _ = ref_step(model.encoder, [v], h, c)
+        stack.append(h)
+    return np.array(stack), h, c
+
+
+def ref_decode(model: net.Seq2SeqModel, h_final, c_final):
+    """Decoder hidden stack: input and initial hidden state are both h_T."""
+    h, c = h_final, c_final
+    stack = []
+    for _ in range(model.config.n_future):
+        h, c, _ = ref_step(model.decoder, h_final, h, c)
+        stack.append(h)
+    return np.array(stack)
+
+
+def run_cell(params, xs):
+    """One batched LSTM run from the zero state over a single sequence xs
+    of shape (T, input)."""
+    zero = np.zeros((1, params.hidden))
+    return net._run_lstm(params, np.asarray(xs, dtype=np.float64)[:, None, :], zero, zero)
+
+
 class TestLstmStep:
     def test_zero_params_fixed_point(self):
         params = zero_lstm(3, 1)
-        state = net.lstm_step(params, [0.7], net.LstmState.zeros(3))
-        npt.assert_array_equal(state.h, np.zeros(3))
-        npt.assert_array_equal(state.c, np.zeros(3))
-        npt.assert_array_equal(state.f, np.full(3, 0.5))
-        npt.assert_array_equal(state.g, np.zeros(3))
+        cache = run_cell(params, [[0.7]])
+        f, _, g, _ = np.split(cache.gates[0, 0], 4)
+        npt.assert_array_equal(cache.h[0, 0], np.zeros(3))
+        npt.assert_array_equal(cache.c[0, 0], np.zeros(3))
+        npt.assert_array_equal(f, np.full(3, 0.5))
+        npt.assert_array_equal(g, np.zeros(3))
 
     def test_hand_evaluated_single_unit(self):
         # zero weights everywhere, candidate bias atanh(0.5):
         # gates = 0.5, candidate = 0.5 -> c = 0.25, h = 0.5 * tanh(0.25)
         params = zero_lstm(1, 1)
-        params.bc[0] = math.atanh(0.5)
-        state = net.lstm_step(params, [0.3], net.LstmState.zeros(1))
-        npt.assert_allclose(state.c, [0.25], atol=1e-15)
-        npt.assert_allclose(state.h, [0.5 * math.tanh(0.25)], atol=1e-15)
+        params.b[2] = math.atanh(0.5)
+        cache = run_cell(params, [[0.3]])
+        npt.assert_allclose(cache.c[0, 0], [0.25], atol=1e-15)
+        npt.assert_allclose(cache.h[0, 0], [0.5 * math.tanh(0.25)], atol=1e-15)
 
     def test_two_steps_match_manual_recurrence(self):
         rng = Rng(11)
         hidden = 4
         params = net._init_lstm(hidden, 1, rng)
         x = np.array([0.6])
-
-        def manual(prev_h, prev_c):
-            z = np.concatenate([prev_h, x])
-            f = sigmoid(params.wf @ z + params.bf)
-            i = sigmoid(params.wi @ z + params.bi)
-            g = np.tanh(params.wc @ z + params.bc)
-            o = sigmoid(params.wo @ z + params.bo)
-            c = f * prev_c + i * g
-            return o * np.tanh(c), c
-
-        s1 = net.lstm_step(params, x, net.LstmState.zeros(hidden))
-        s2 = net.lstm_step(params, x, s1)
-        h1, c1 = manual(np.zeros(hidden), np.zeros(hidden))
-        h2, c2 = manual(h1, c1)
-        npt.assert_allclose(s1.h, h1, atol=1e-15)
-        npt.assert_allclose(s2.h, h2, atol=1e-15)
-        npt.assert_allclose(s2.c, c2, atol=1e-15)
+        cache = run_cell(params, [x, x])
+        h1, c1, gates1 = ref_step(params, x, np.zeros(hidden), np.zeros(hidden))
+        h2, c2, _ = ref_step(params, x, h1, c1)
+        npt.assert_allclose(cache.h[0, 0], h1, atol=1e-15)
+        npt.assert_allclose(cache.gates[0, 0], np.concatenate(gates1), atol=1e-15)
+        npt.assert_allclose(cache.h[1, 0], h2, atol=1e-15)
+        npt.assert_allclose(cache.c[1, 0], c2, atol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
-        params = zero_lstm(3, 1)
-        with pytest.raises(ValueError, match="input width"):
-            net.lstm_step(params, [1.0, 2.0], net.LstmState.zeros(3))
-        with pytest.raises(ValueError, match="state shapes"):
-            net.lstm_step(params, [1.0], net.LstmState.zeros(4))
+        with pytest.raises(ValueError, match="inconsistent LSTM shapes"):
+            net.LstmParams(w=np.zeros((10, 4)), b=np.zeros(10))  # 10 rows: not 4 gates
+        with pytest.raises(ValueError, match="inconsistent LSTM shapes"):
+            net.LstmParams(w=np.zeros((12, 4)), b=np.zeros(3))
+        with pytest.raises(ValueError, match="inconsistent LSTM shapes"):
+            net.LstmParams(w=np.zeros((12, 3)), b=np.zeros(12))  # no input columns
 
 
 class TestEncode:
     def test_zero_params_zero_states(self):
         model = zero_model()
-        enc = net.encode(model, [0.1, 0.2, 0.3, 0.4])
-        npt.assert_array_equal(enc.final.h, np.zeros(5))
-        npt.assert_array_equal(enc.stack, np.zeros((4, 5)))
+        cache = net.forward_batch(model, [[0.1, 0.2, 0.3, 0.4]])
+        npt.assert_array_equal(cache.enc.h, np.zeros((4, 1, 5)))
+        npt.assert_array_equal(cache.enc.c, np.zeros((4, 1, 5)))
 
     def test_single_step_window(self):
         model = net.init(net.ModelConfig(n_past=1, n_future=2, hidden=3), Rng(5))
-        enc = net.encode(model, [0.4])
-        assert enc.stack.shape == (1, 3)
-        npt.assert_array_equal(enc.stack[0], enc.final.h)
+        cache = net.forward_batch(model, [[0.4]])
+        assert cache.enc.h.shape == (1, 1, 3)
+        _, h, c = ref_encode(model, [0.4])
+        npt.assert_allclose(cache.enc.h[0, 0], h, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(cache.enc.c[0, 0], c, rtol=1e-12, atol=1e-15)
 
     def test_stack_tail_is_final_state(self):
+        # the decoder starts from the encoder's last state and reads h_T as input
         model = net.init(net.ModelConfig(n_past=6, n_future=2, hidden=4), Rng(6))
-        enc = net.encode(model, np.linspace(0, 1, 6))
-        npt.assert_array_equal(enc.stack[-1], enc.final.h)
+        cache = net.forward_batch(model, np.linspace(0, 1, 6)[None, :])
+        h_final = cache.enc.h[-1]
+        npt.assert_array_equal(cache.dec.c0, cache.enc.c[-1])
+        npt.assert_array_equal(cache.dec.z[0], np.concatenate([h_final, h_final], axis=1))
 
     def test_wrong_length_rejected(self):
         model = zero_model(n_past=4)
-        with pytest.raises(ValueError, match="window length"):
-            net.encode(model, [1.0, 2.0])
+        with pytest.raises(ValueError, match="expected inputs"):
+            net.forward_batch(model, [[1.0, 2.0]])
 
     def test_matches_stepwise_recurrence(self):
         model = net.init(net.ModelConfig(n_past=5, n_future=2, hidden=6), Rng(8))
         window = Rng(9).uniform_array(5, 0, 1)
-        state = net.LstmState.zeros(6)
-        for v in window:
-            state = net.lstm_step(model.encoder, [v], state)
-        enc = net.encode(model, window)
-        npt.assert_allclose(enc.final.h, state.h, rtol=1e-12, atol=1e-15)
-        npt.assert_allclose(enc.final.c, state.c, rtol=1e-12, atol=1e-15)
+        stack, h, c = ref_encode(model, window)
+        cache = net.forward_batch(model, window[None, :])
+        npt.assert_allclose(cache.enc.h[:, 0], stack, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(cache.enc.c[-1, 0], c, rtol=1e-12, atol=1e-15)
 
 
 class TestDecodePlain:
     def test_zero_params_bias_only(self):
         model = zero_model(n_future=3)
         model.output.b[0] = 0.37
-        enc = net.encode(model, [0.5, 0.1, 0.9, 0.2])
-        npt.assert_array_equal(net.decode_plain(model, enc), np.full(3, 0.37))
+        preds = net.forward_batch(model, [[0.5, 0.1, 0.9, 0.2]]).preds
+        npt.assert_array_equal(preds, np.full((1, 3), 0.37))
 
     def test_single_future_step_manual_oracle(self):
         model = net.init(net.ModelConfig(n_past=3, n_future=1, hidden=4), Rng(21))
         window = [0.2, 0.8, 0.5]
-        enc = net.encode(model, window)
+        _, h_final, c_final = ref_encode(model, window)
         # one decoder step by hand: input and initial hidden are both h_T
-        state = net.lstm_step(model.decoder, enc.final.h,
-                              net.LstmState(h=enc.final.h, c=enc.final.c))
-        expected = state.h @ model.output.w + model.output.b[0]
-        npt.assert_allclose(net.decode_plain(model, enc), [expected],
+        h, _, _ = ref_step(model.decoder, h_final, h_final, c_final)
+        expected = h @ model.output.w + model.output.b[0]
+        npt.assert_allclose(net.forward_batch(model, [window]).preds, [[expected]],
                             rtol=1e-12, atol=1e-15)
 
     @pytest.mark.parametrize("horizon", [6, 9, 12])
     def test_output_length_per_horizon(self, horizon):
         model = net.init(net.ModelConfig(n_past=4, n_future=horizon, hidden=3), Rng(2))
-        enc = net.encode(model, [0.1, 0.4, 0.3, 0.8])
-        assert net.decode_plain(model, enc).shape == (horizon,)
-
-    def test_attention_model_rejected(self):
-        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3, attention=True), Rng(2))
-        enc = net.encode(model, [0.1, 0.4, 0.3, 0.8])
-        with pytest.raises(ValueError, match="attention"):
-            net.decode_plain(model, enc)
+        assert net.forward_batch(model, [[0.1, 0.4, 0.3, 0.8]]).preds.shape == (1, horizon)
 
 
 def brute_force_attention(enc_stack, dec_stack, out_w, out_b):
@@ -165,58 +193,58 @@ def brute_force_attention(enc_stack, dec_stack, out_w, out_b):
 class TestDecodeAttention:
     def test_single_position_forces_unit_weight(self):
         model = net.init(net.ModelConfig(n_past=1, n_future=3, hidden=4, attention=True), Rng(3))
-        enc = net.encode(model, [0.6])
-        _, trace = net.decode_attention(model, enc)
-        npt.assert_array_equal(trace.weights, np.ones((3, 1)))
+        cache = net.forward_batch(model, [[0.6]])
+        npt.assert_array_equal(cache.attn, np.ones((3, 1, 1)))
         for s in range(3):
-            npt.assert_array_equal(trace.contexts[s], enc.stack[0])
+            npt.assert_array_equal(cache.ctx[s], cache.enc.h[0])
 
     def test_identical_encoder_states_uniform_rows(self):
-        model = net.init(net.ModelConfig(n_past=5, n_future=2, hidden=4, attention=True), Rng(4))
-        enc = net.encode(model, [0.3] * 5)
-        enc.stack[:] = enc.stack[-1]  # force equal states at all positions
-        _, trace = net.decode_attention(model, enc)
-        npt.assert_allclose(trace.weights, np.full((2, 5), 0.2), atol=1e-15)
+        # no recurrent encoder weights and a shut forget gate: a constant
+        # window then gives the same encoder state at every position
+        hidden = 4
+        model = net.init(net.ModelConfig(n_past=5, n_future=2, hidden=hidden, attention=True), Rng(4))
+        model.encoder.w[:, :hidden] = 0.0
+        model.encoder.b[:hidden] = -1000.0
+        cache = net.forward_batch(model, [[0.3] * 5])
+        npt.assert_array_equal(cache.enc.h, np.broadcast_to(cache.enc.h[0], cache.enc.h.shape))
+        npt.assert_allclose(cache.attn[:, 0], np.full((2, 5), 0.2), atol=1e-15)
 
     def test_matches_brute_force_oracle(self):
         model = net.init(net.ModelConfig(n_past=3, n_future=2, hidden=4, attention=True), Rng(12))
         window = [0.25, 0.75, 0.5]
-        enc = net.encode(model, window)
-        dec_stack = net._decode(model, enc).h[:, 0, :]
+        enc_stack, h_final, c_final = ref_encode(model, window)
+        dec_stack = ref_decode(model, h_final, c_final)
         expect_preds, expect_w, expect_ctx = brute_force_attention(
-            enc.stack, dec_stack, model.output.w, model.output.b[0])
-        preds, trace = net.decode_attention(model, enc)
-        npt.assert_allclose(trace.weights, expect_w, atol=1e-12)
-        npt.assert_allclose(trace.contexts, expect_ctx, atol=1e-12)
-        npt.assert_allclose(preds, expect_preds, atol=1e-12)
-
-    def test_plain_model_rejected(self):
-        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(2))
-        enc = net.encode(model, [0.1, 0.4, 0.3, 0.8])
-        with pytest.raises(ValueError, match="without attention"):
-            net.decode_attention(model, enc)
+            enc_stack, dec_stack, model.output.w, model.output.b[0])
+        cache = net.forward_batch(model, [window])
+        npt.assert_allclose(cache.attn[:, 0], expect_w, atol=1e-12)
+        npt.assert_allclose(cache.ctx[:, 0], expect_ctx, atol=1e-12)
+        npt.assert_allclose(cache.preds[0], expect_preds, atol=1e-12)
 
     def test_rows_are_probability_vectors(self):
         for seed in range(10):
             model = net.init(
                 net.ModelConfig(n_past=7, n_future=4, hidden=6, attention=True), Rng(seed))
             window = Rng(seed + 100).uniform_array(7, 0, 1)
-            _, trace = net.decode_attention(model, net.encode(model, window))
-            assert np.all(trace.weights >= 0)
-            npt.assert_allclose(trace.weights.sum(axis=1), 1.0, atol=1e-12)
+            attn = net.forward_batch(model, window[None, :]).attn
+            assert np.all(attn >= 0)
+            npt.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestBackward:
     def test_zero_loss_gradient_gives_zero_grads(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
-        grads = net.backward(model, [0.2, 0.4, 0.1, 0.9], np.zeros(2))
+        cache = net.forward_batch(model, [[0.2, 0.4, 0.1, 0.9]])
+        grads = net.backward_batch(model, cache, np.zeros((1, 2)))
+        assert [name for name, _ in net.param_items(model)] == list(grads)
         for name, g in grads.items():
             npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
     def test_wrong_gradient_length_rejected(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
-        with pytest.raises(ValueError, match="loss gradient length"):
-            net.backward(model, [0.2, 0.4, 0.1, 0.9], np.zeros(3))
+        cache = net.forward_batch(model, [[0.2, 0.4, 0.1, 0.9]])
+        with pytest.raises(ValueError, match="loss gradient shape"):
+            net.backward_batch(model, cache, np.zeros((1, 3)))
 
     def test_missing_cache_rejected(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
@@ -231,18 +259,16 @@ class TestBackward:
         model = net.init(cfg, Rng(31))
         window = np.array([0.7])
         loss_grad = np.array([0.3, -0.2])
-        grads = net.backward(model, window, loss_grad)
+        cache = net.forward_batch(model, window[None, :])
+        grads = net.backward_batch(model, cache, loss_grad[None, :])
 
         def reduced_loss() -> float:
-            state = net.LstmState.zeros(cfg.hidden)
-            state = net.lstm_step(model.encoder, window, state)
-            h_final, c_final = state.h, state.c
-            dec_state = net.LstmState(h=h_final, c=c_final)
+            _, h_final, c_final = ref_encode(model, window)
+            dec_stack = ref_decode(model, h_final, c_final)
             total = 0.0
             w_ctx, w_dec = model.output.w[:cfg.hidden], model.output.w[cfg.hidden:]
             for s in range(cfg.n_future):
-                dec_state = net.lstm_step(model.decoder, h_final, dec_state)
-                pred = w_ctx @ h_final + w_dec @ dec_state.h + model.output.b[0]
+                pred = w_ctx @ h_final + w_dec @ dec_stack[s] + model.output.b[0]
                 total += loss_grad[s] * pred  # linear functional with the given grad
             return total
 
@@ -291,12 +317,24 @@ class TestInit:
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=9), Rng(13))
         for lstm, width in ((model.encoder, 1), (model.decoder, 9)):
             bound = math.sqrt(6.0 / (9 + 9 + width))
-            for g in "fico":
-                w = getattr(lstm, f"w{g}")
-                assert np.all(np.abs(w) <= bound)
-                npt.assert_array_equal(getattr(lstm, f"b{g}"), np.zeros(9))
+            assert lstm.w.shape == (36, 9 + width)
+            assert np.all(np.abs(lstm.w) <= bound)
+            npt.assert_array_equal(lstm.b, np.zeros(36))
         out_bound = math.sqrt(6.0 / (9 + 1))
         assert np.all(np.abs(model.output.w) <= out_bound)
+
+    def test_param_items_are_gate_views_of_stacked_arrays(self):
+        hidden = 3
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=hidden), Rng(14))
+        items = dict(net.param_items(model))
+        for prefix, lstm in (("enc", model.encoder), ("dec", model.decoder)):
+            for k, g in enumerate(net.GATES):
+                rows = slice(k * hidden, (k + 1) * hidden)
+                items[f"{prefix}.w{g}"][0, 0] = 10.0 + k
+                items[f"{prefix}.b{g}"][0] = 20.0 + k
+                assert lstm.w[rows][0, 0] == 10.0 + k
+                assert lstm.b[rows][0] == 20.0 + k
+        assert list(items)[-2:] == ["out.w", "out.b"]
 
 
 class TestForwardProperties:
@@ -305,18 +343,19 @@ class TestForwardProperties:
             model = net.init(net.ModelConfig(n_past=6, n_future=3, hidden=5), Rng(seed))
             window = Rng(seed + 50).uniform_array(6, 0, 1)
             cache = net.forward_batch(model, window[None, :])
-            for gates in (cache.enc, cache.dec):
-                assert np.all((gates.f > 0) & (gates.f < 1))
-                assert np.all((gates.i > 0) & (gates.i < 1))
-                assert np.all((gates.o > 0) & (gates.o < 1))
-                assert np.all((gates.g > -1) & (gates.g < 1))
-                assert np.all(np.abs(gates.h) < 1)
+            for seq in (cache.enc, cache.dec):
+                f, i, g, o = np.split(seq.gates, 4, axis=2)
+                assert np.all((f > 0) & (f < 1))
+                assert np.all((i > 0) & (i < 1))
+                assert np.all((o > 0) & (o < 1))
+                assert np.all((g > -1) & (g < 1))
+                assert np.all(np.abs(seq.h) < 1)
 
     def test_forward_is_pure(self):
         model = net.init(net.ModelConfig(n_past=5, n_future=4, hidden=6, attention=True), Rng(44))
-        window = Rng(45).uniform_array(5, 0, 1)
-        first = net.forward(model, window)
-        second = net.forward(model, window)
+        window = Rng(45).uniform_array(5, 0, 1)[None, :]
+        first = net.forward_batch(model, window).preds
+        second = net.forward_batch(model, window).preds
         npt.assert_array_equal(first, second)
 
     def test_batch_rows_match_single_windows(self):
@@ -326,7 +365,7 @@ class TestForwardProperties:
             windows = Rng(10).uniform_array(20, 0, 1).reshape(4, 5)
             batch = net.forward_batch(model, windows).preds
             for k in range(4):
-                npt.assert_allclose(batch[k], net.forward(model, windows[k]),
+                npt.assert_allclose(batch[k], net.forward_batch(model, windows[k:k + 1]).preds[0],
                                     rtol=1e-12, atol=1e-15)
 
     def test_predict_batch_chunking(self):
