@@ -149,23 +149,32 @@ def load_csv(path, interval: float | None = None) -> tuple[TimeSeries, int]:
 
     deltas = np.diff(times)
     step = float(interval) if interval is not None else float(deltas.min())
-    filled: list[float] = [values[0]]
-    warnings = 0
-    for k, delta in enumerate(deltas):
-        m = delta / step
-        m_int = round(m)
-        if m_int < 1 or abs(m - m_int) > 1e-6:
-            raise DataError(
-                f"{path}: timestamp gap of {delta}s at row {k + 2} is not a "
-                f"multiple of the {step}s interval"
-            )
-        for j in range(1, m_int):
-            filled.append(values[k] + (values[k + 1] - values[k]) * j / m_int)
-            warnings += 1
-        filled.append(values[k + 1])
-
+    ratio = deltas / step
+    slots = np.rint(ratio)  # half to even, as round() does
+    bad = np.flatnonzero((slots < 1) | (np.abs(ratio - slots) > 1e-6))
+    if bad.size:
+        k = bad[0]
+        raise DataError(
+            f"{path}: timestamp gap of {deltas[k]}s at row {k + 2} is not a "
+            f"multiple of the {step}s interval"
+        )
+    filled, warnings = _fill_gaps(np.array(values), slots.astype(np.int64))
     start = datetime.fromtimestamp(times[0], tz=timezone.utc)
-    return TimeSeries(np.array(filled), start=start, interval=step), warnings
+    return TimeSeries(filled, start=start, interval=step), warnings
+
+
+def _fill_gaps(values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, int]:
+    """Place ``values`` on the grid, row k+1 lying ``slots[k]`` steps after
+    row k, and fill slot j of such a gap of m with
+    v[k] + (v[k+1] - v[k]) * j / m.  Returns the series and the fill count."""
+    ends = np.cumsum(slots)  # grid index of row k+1
+    k = np.repeat(np.arange(len(slots)), slots)  # the gap each later slot lies in
+    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - slots, slots)
+    filled = np.empty(ends[-1] + 1)
+    filled[0] = values[0]
+    filled[1:] = values[k] + (values[k + 1] - values[k]) * j / slots[k]
+    filled[ends] = values[1:]  # the rows themselves, not their interpolated form
+    return filled, int(ends[-1]) - len(slots)
 
 
 def write_csv(series: TimeSeries, path) -> None:

@@ -143,7 +143,9 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
         config = _from_header(ModelConfig, header.get("config"), path, "config")
         scaler_blob = header.get("scaler")
         scaler = None if scaler_blob is None else _from_header(ScalerParams, scaler_blob, path, "scaler")
-        provenance = header.get("provenance", {})
+        provenance = header.get("provenance")
+        if not isinstance(provenance, dict):
+            raise ValueError(f"{path}: header 'provenance' must be a JSON object")
 
         expected = _block_shapes(config)
         (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, path, "block count"))

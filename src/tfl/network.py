@@ -162,7 +162,11 @@ def init_output_layer(config: ModelConfig, rng: Rng) -> DenseParams:
 
 @dataclass
 class _SeqCache:
-    """Everything the reversed pass needs from one LSTM run."""
+    """Everything the reversed pass needs from one LSTM run.
+
+    A run without the backprop cache keeps one reused slot of ``z``,
+    ``gates`` and ``tanh_c`` instead of one per step.
+    """
 
     z: np.ndarray       # (T, B, hidden+input): concatenated [h_prev, x]
     gates: np.ndarray   # (T, B, 4 hidden): activated f, i, g (candidate), o
@@ -172,28 +176,42 @@ class _SeqCache:
     c0: np.ndarray      # (B, hidden)
 
 
-def _run_lstm(params: LstmParams, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray) -> _SeqCache:
+def _run_lstm(params: LstmParams, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray,
+              keep: bool = True) -> _SeqCache:
+    """Run the recurrence over ``xs`` (T, B, input) from (h0, c0).
+
+    Every step writes into preallocated slots: one gate GEMM, the bias, the
+    candidate's tanh saved aside while one in-place sigmoid covers all 4H
+    columns, then the cell and hidden updates.
+    """
     T, B, width = xs.shape
     hid = params.hidden
-    shape = (T, B, hid)
+    slots = T if keep else 1
     cache = _SeqCache(
-        z=np.empty((T, B, hid + width)), gates=np.empty((T, B, len(GATES) * hid)),
-        c=np.empty(shape), tanh_c=np.empty(shape), h=np.empty(shape), c0=c0,
+        z=np.empty((slots, B, hid + width)), gates=np.empty((slots, B, len(GATES) * hid)),
+        c=np.empty((T, B, hid)), tanh_c=np.empty((slots, B, hid)), h=np.empty((T, B, hid)), c0=c0,
     )
+    w_t = params.w.T
     cand = slice(2 * hid, 3 * hid)
+    g_act = np.empty((B, hid))
     h, c = h0, c0
     for t in range(T):
-        z = cache.z[t]
+        s = t if keep else 0
+        z, act, tc, c_t, h_t = cache.z[s], cache.gates[s], cache.tanh_c[s], cache.c[t], cache.h[t]
         z[:, :hid] = h
         z[:, hid:] = xs[t]
-        pre = z @ params.w.T + params.b
-        act = sigmoid(pre)
-        act[:, cand] = np.tanh(pre[:, cand])
+        np.matmul(z, w_t, out=act)
+        act += params.b
+        np.tanh(act[:, cand], out=g_act)
+        sigmoid(act, out=act)
+        act[:, cand] = g_act
         f, i, g, o = _gate_blocks(act, axis=1)
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        cache.gates[t], cache.c[t], cache.tanh_c[t], cache.h[t] = act, c, tc, h
+        np.multiply(f, c, out=c_t)
+        np.multiply(i, g, out=h_t)  # h_t holds i*g until the hidden update
+        c_t += h_t
+        np.tanh(c_t, out=tc)
+        np.multiply(o, tc, out=h_t)
+        h, c = h_t, c_t
     return cache
 
 
@@ -255,6 +273,13 @@ class ForwardCache:
 
 def forward_batch(model: Seq2SeqModel, inputs: np.ndarray) -> ForwardCache:
     """Run encoder + decoder + output layer over a batch of windows."""
+    return _forward(model, inputs, keep=True)
+
+
+def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCache:
+    """The forward pass; ``keep=False`` skips the per-step backprop cache and
+    keeps only the hidden and cell sequences that attention and the decoder's
+    initial state read."""
     cfg = model.config
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_past:
@@ -262,10 +287,10 @@ def forward_batch(model: Seq2SeqModel, inputs: np.ndarray) -> ForwardCache:
     B = inputs.shape[0]
     hid = cfg.hidden
     xs_enc = inputs.T[:, :, None]  # (T, B, 1)
-    enc = _run_lstm(model.encoder, xs_enc, np.zeros((B, hid)), np.zeros((B, hid)))
+    enc = _run_lstm(model.encoder, xs_enc, np.zeros((B, hid)), np.zeros((B, hid)), keep)
     h_final, c_final = enc.h[-1], enc.c[-1]
     xs_dec = np.broadcast_to(h_final, (cfg.n_future, B, hid))
-    dec = _run_lstm(model.decoder, xs_dec, h_final, c_final)
+    dec = _run_lstm(model.decoder, xs_dec, h_final, c_final, keep)
     if cfg.attention:
         scores = np.einsum("sbh,tbh->sbt", dec.h, enc.h)
         attn = softmax(scores, axis=-1)
@@ -287,8 +312,9 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     input and its initial state back into the encoder.
     """
     cfg = model.config
-    if not isinstance(cache, ForwardCache):
-        raise ValueError("backward requires the ForwardCache from forward_batch")
+    if not isinstance(cache, ForwardCache) or any(
+            len(seq.gates) != len(seq.h) for seq in (cache.enc, cache.dec)):
+        raise ValueError("backward requires the full ForwardCache from forward_batch")
     dpreds = np.asarray(dpreds, dtype=np.float64)
     if dpreds.shape != cache.preds.shape:
         raise ValueError(f"loss gradient shape {dpreds.shape} != predictions {cache.preds.shape}")
@@ -333,10 +359,15 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
 
 
 def predict_batch(model: Seq2SeqModel, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Predictions for many windows, chunked to bound memory."""
+    """Predictions for many windows, chunked to bound memory.
+
+    No backprop cache is kept: a chunk of B windows holds the encoder and
+    decoder (h, c) sequences, 16 (n_past + n_future) B hidden bytes, plus
+    one step's slots.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     parts = [
-        forward_batch(model, inputs[k : k + chunk]).preds
+        _forward(model, inputs[k : k + chunk], keep=False).preds
         for k in range(0, len(inputs), chunk)
     ]
     return np.concatenate(parts) if parts else np.empty((0, model.config.n_future))

@@ -100,19 +100,26 @@ class Rng:
             indices[i], indices[j] = indices[j], indices[i]
 
 
-def sigmoid(x):
-    """Numerically stable logistic; saturates cleanly for large |x|.
+def sigmoid(x, out=None):
+    """Numerically stable logistic, exp(min(x, 0)) / (1 + exp(-|x|)).
 
-    exp(-|x|) never overflows; it is exp(-x) where x >= 0 and exp(x)
-    elsewhere, so each side of the select is the stable form for its sign.
-    Computing both sides costs less than gathering each sign's elements.
+    Neither exponent is positive, so nothing overflows.  For x >= 0 the
+    numerator is exactly 1 and for x < 0 the denominator's exponent is x,
+    so this is bit for bit the two-branch form 1 / (1 + exp(-x)) and
+    exp(x) / (1 + exp(x)), with no select.  ``out`` (may be ``x`` itself)
+    receives the result; a scalar input without ``out`` returns a float.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    den = np.abs(x, out=np.empty_like(x))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    res = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.exp(res, out=res)
+    np.divide(res, den, out=res)
+    if out is None and res.ndim == 0:
+        return float(res)
+    return res
 
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -79,6 +79,62 @@ class TestLoadCsv:
         npt.assert_array_equal(loaded.values, series.values)
 
 
+def scalar_gap_fill(path, times, values, step):
+    """Per-row gap fill, one interpolated slot at a time: the oracle for the
+    vectorised fill in load_csv."""
+    filled, warnings = [values[0]], 0
+    for k, delta in enumerate(np.diff(times)):
+        m = delta / step
+        m_int = round(m)
+        if m_int < 1 or abs(m - m_int) > 1e-6:
+            raise DataError(f"{path}: timestamp gap of {delta}s at row {k + 2} is not a "
+                            f"multiple of the {step}s interval")
+        for j in range(1, m_int):
+            filled.append(values[k] + (values[k + 1] - values[k]) * j / m_int)
+            warnings += 1
+        filled.append(values[k + 1])
+    return np.array(filled), warnings
+
+
+def random_gap_csv(path, seed, bad_gaps=0):
+    """A seeded CSV with random gaps of 1-12 intervals (and ``bad_gaps``
+    gaps that are not a whole number of them); returns times and values."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 400))
+    gaps = np.where(rng.random(n - 1) < 0.8, 1, rng.integers(1, 13, n - 1)) * 300
+    for k in rng.integers(0, n - 1, bad_gaps):
+        gaps[k] = int(rng.choice([450, 1050, 301, 299]))
+    times = np.concatenate([[0], np.cumsum(gaps)]).tolist()
+    values = (rng.random(n) * 10.0 ** rng.integers(0, 10, n)).tolist()
+    write_lines(path, ["timestamp,bps"] + [f"{t},{v!r}" for t, v in zip(times, values)])
+    return [float(t) for t in times], values
+
+
+class TestGapFillMatchesScalarLoop:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("interval", [None, 300.0, 150.0, 100.0])
+    def test_bitwise_equal_on_random_gaps(self, tmp_path, seed, interval):
+        path = tmp_path / "gaps.csv"
+        times, values = random_gap_csv(path, seed)
+        step = interval if interval is not None else float(np.diff(times).min())
+        expected, expected_warnings = scalar_gap_fill(path, times, values, step)
+        series, warnings = ds.load_csv(path, interval=interval)
+        assert warnings == expected_warnings
+        npt.assert_array_equal(series.values.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("interval", [None, 600.0])
+    def test_first_bad_gap_reported_like_scalar_loop(self, tmp_path, seed, interval):
+        path = tmp_path / "gaps.csv"
+        times, values = random_gap_csv(path, seed, bad_gaps=3)
+        step = interval if interval is not None else float(np.diff(times).min())
+        with pytest.raises(DataError) as expected:
+            scalar_gap_fill(path, times, values, step)
+        with pytest.raises(DataError) as got:
+            ds.load_csv(path, interval=interval)
+        assert str(got.value) == str(expected.value)
+
+
 class TestCountersToBps:
     def test_hand_arithmetic(self):
         series, warnings = ds.counters_to_bps([0, 300], interval=300)

@@ -42,6 +42,10 @@ MALFORMED = {
     "missing_config": (lambda raw: with_header(
         raw, lambda h: {k: v for k, v in h.items() if k != "config"}), "header 'config'"),
     "list_header": (lambda raw: with_header(raw, lambda h: [h]), "not a JSON object"),
+    "list_provenance": (lambda raw: with_header(raw, lambda h: {
+        **h, "provenance": [h["provenance"]]}), "header 'provenance'"),
+    "missing_provenance": (lambda raw: with_header(
+        raw, lambda h: {k: v for k, v in h.items() if k != "provenance"}), "header 'provenance'"),
     "huge_block_dims": (lambda raw: with_first_dims(raw, (2 ** 31, 2 ** 31)), "config implies"),
 }
 

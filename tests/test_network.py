@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -369,7 +370,39 @@ class TestForwardProperties:
                                     rtol=1e-12, atol=1e-15)
 
     def test_predict_batch_chunking(self):
-        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(9))
         windows = Rng(10).uniform_array(28, 0, 1).reshape(7, 4)
-        npt.assert_allclose(net.predict_batch(model, windows, chunk=3),
-                            net.forward_batch(model, windows).preds, atol=1e-15)
+        for attention in (False, True):
+            model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
+                                             attention=attention), Rng(9))
+            whole = net.forward_batch(model, windows).preds
+            for chunk in (1, 3, len(windows), len(windows) + 5):
+                preds = net.predict_batch(model, windows, chunk=chunk)
+                # OpenBLAS rounds a GEMM of very few rows differently in the
+                # last bit, so the same chunks through forward_batch are the
+                # bitwise reference
+                per_chunk = [net.forward_batch(model, windows[k:k + chunk]).preds
+                             for k in range(0, len(windows), chunk)]
+                npt.assert_array_equal(preds, np.concatenate(per_chunk))
+                npt.assert_allclose(preds, whole, atol=1e-15)
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_predict_batch_keeps_no_backprop_cache(self, attention):
+        model = net.init(net.ModelConfig(n_past=12, n_future=6, hidden=100, attention=attention),
+                         Rng(1))
+        windows = Rng(2).uniform_array(512 * 12, 0, 1).reshape(512, 12)
+        tracemalloc.start()
+        try:
+            net.predict_batch(model, windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full cache of one 512-window chunk alone is about 70 MB
+        assert peak < 32e6
+
+    def test_backward_rejects_inference_cache(self):
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
+        windows = np.array([[0.2, 0.4, 0.1, 0.9], [0.3, 0.5, 0.7, 0.2]])
+        cache = net._forward(model, windows, keep=False)
+        npt.assert_array_equal(cache.preds, net.forward_batch(model, windows).preds)
+        with pytest.raises(ValueError, match="full ForwardCache"):
+            net.backward_batch(model, cache, np.zeros((2, 2)))

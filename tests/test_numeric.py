@@ -9,6 +9,30 @@ from hypothesis import strategies as st
 from tfl.numeric import Rng, sigmoid, softmax
 
 
+def masked_sigmoid(x):
+    """Two-branch logistic over boolean masks: the bitwise oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7,
+         709.0, -709.0, 746.0, -746.0, math.inf, -math.inf]
+
+
+def spread_sample(seed=3):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(scale=s, size=5000) for s in (1e-3, 1, 30, 1e3)] + [EDGES])
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
 class TestActivations:
     def test_sigmoid_at_zero(self):
         assert sigmoid(0.0) == 0.5
@@ -44,6 +68,37 @@ class TestActivations:
     def test_saturation_is_graceful(self):
         assert sigmoid(1000.0) == 1.0
         assert sigmoid(-1000.0) == 0.0
+
+    def test_out_aliasing_input_matches_reference_bitwise(self):
+        xs = spread_sample().reshape(-1, 4)
+        buf = xs.copy()
+        result = sigmoid(buf, out=buf)
+        assert result is buf
+        npt.assert_array_equal(bits(buf), bits(masked_sigmoid(xs)))
+
+    def test_strided_column_out_matches_reference_bitwise(self):
+        xs = spread_sample()
+        buf = np.full((len(xs), 3), 7.0)
+        result = sigmoid(xs, out=buf[:, 1])
+        assert np.shares_memory(result, buf)
+        npt.assert_array_equal(bits(buf[:, 1]), bits(masked_sigmoid(xs)))
+        npt.assert_array_equal(buf[:, [0, 2]], 7.0)
+        # the input may itself be a strided column, written in place
+        grid = np.stack([xs, -xs], axis=1)
+        sigmoid(grid[:, 1], out=grid[:, 1])
+        npt.assert_array_equal(bits(grid[:, 1]), bits(masked_sigmoid(-xs)))
+        npt.assert_array_equal(bits(grid[:, 0]), bits(xs))
+
+    @pytest.mark.parametrize("value", EDGES + [2.0, -3.25])
+    def test_scalar_inputs_match_reference_bitwise(self, value):
+        expected = bits(masked_sigmoid(np.array([value]))[0])
+        for x in (value, np.float64(value), np.array(value)):
+            got = sigmoid(x)
+            assert type(got) is float
+            assert bits(got) == expected
+        out = np.empty(())
+        assert sigmoid(np.array(value), out=out) is out
+        assert bits(out) == expected
 
 
 class TestSoftmax:
