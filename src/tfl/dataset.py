@@ -149,8 +149,14 @@ def load_csv(path, interval: float | None = None) -> tuple[TimeSeries, int]:
 
     deltas = np.diff(times)
     step = float(interval) if interval is not None else float(deltas.min())
-    ratio = deltas / step
+    with np.errstate(over="ignore"):  # an infinite ratio fails the slot total below
+        ratio = deltas / step
     slots = np.rint(ratio)  # half to even, as round() does
+    # the grid size in float, checked before any int64 cast can wrap; 2^62
+    # leaves room for the float sum's rounding
+    total = slots.sum() + 1
+    if not total < 2.0 ** 62:
+        raise _unfillable(path, deltas, slots, total)
     bad = np.flatnonzero((slots < 1) | (np.abs(ratio - slots) > 1e-6))
     if bad.size:
         k = bad[0]
@@ -158,9 +164,20 @@ def load_csv(path, interval: float | None = None) -> tuple[TimeSeries, int]:
             f"{path}: timestamp gap of {deltas[k]}s at row {k + 2} is not a "
             f"multiple of the {step}s interval"
         )
-    filled, warnings = _fill_gaps(np.array(values), slots.astype(np.int64))
+    try:
+        filled, warnings = _fill_gaps(np.array(values), slots.astype(np.int64))
+    except MemoryError:
+        raise _unfillable(path, deltas, slots, total) from None
     start = datetime.fromtimestamp(times[0], tz=timezone.utc)
     return TimeSeries(filled, start=start, interval=step), warnings
+
+
+def _unfillable(path, deltas: np.ndarray, slots: np.ndarray, total: float) -> DataError:
+    k = int(np.argmax(slots))
+    return DataError(
+        f"{path}: timestamp gap of {deltas[k]}s at row {k + 2} makes a grid of "
+        f"{total:.0f} slots, too many to fill"
+    )
 
 
 def _fill_gaps(values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, int]:

@@ -12,7 +12,10 @@ Layout (all integers little-endian uint32 unless noted):
                     ndim u32, dims u32 x ndim,
                     data float64 little-endian, row-major
 
-Canonical JSON plus fixed block order makes load -> save byte-identical.
+Each stacked LSTM array is stored as one block per gate, in ``GATES``
+order (``enc.wf`` ... ``dec.bo``), then ``out.w`` and ``out.b``; the split
+exists only in the file.  Canonical JSON plus fixed block order makes
+load -> save byte-identical.
 Transferred models carry the SHA-256 of their parent file in provenance.
 """
 
@@ -41,6 +44,7 @@ from .network import (
 
 MAGIC = b"TFL1"
 VERSION = 1
+HEADER_KEYS = {"config", "scaler", "provenance"}
 
 
 def file_sha256(path) -> str:
@@ -73,7 +77,10 @@ def save_model(model: Seq2SeqModel, scaler: ScalerParams | None, provenance: dic
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        items = param_items(model)
+        items = []
+        for param, arr in param_items(model):
+            names = _block_names(param)
+            items += zip(names, np.split(arr, len(names)))
         fh.write(struct.pack("<I", len(items)))
         for name, arr in items:
             encoded = name.encode("utf-8")
@@ -106,13 +113,19 @@ def _from_header(cls, blob, path, what: str):
     return cls(**blob)
 
 
+def _block_names(param: str) -> list[str]:
+    """File block names of one in-memory parameter: a stacked LSTM array
+    splits into ``GATES``-ordered gate blocks, the output layer stays whole."""
+    return [param] if param.startswith("out.") else [param + g for g in GATES]
+
+
 def _block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every weight block the config implies."""
     hid = config.hidden
     shapes = {}
     for prefix, width in (("enc", 1), ("dec", hid)):
-        shapes.update({f"{prefix}.w{g}": (hid, hid + width) for g in GATES})
-        shapes.update({f"{prefix}.b{g}": (hid,) for g in GATES})
+        shapes.update({name: (hid, hid + width) for name in _block_names(prefix + ".w")})
+        shapes.update({name: (hid,) for name in _block_names(prefix + ".b")})
     shapes["out.w"] = (output_width(config),)
     shapes["out.b"] = (1,)
     return shapes
@@ -141,11 +154,16 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header is not a JSON object")
         config = _from_header(ModelConfig, header.get("config"), path, "config")
-        scaler_blob = header.get("scaler")
-        scaler = None if scaler_blob is None else _from_header(ScalerParams, scaler_blob, path, "scaler")
         provenance = header.get("provenance")
         if not isinstance(provenance, dict):
             raise ValueError(f"{path}: header 'provenance' must be a JSON object")
+        if set(header) != HEADER_KEYS:
+            raise ValueError(
+                f"{path}: header must hold exactly the keys {sorted(HEADER_KEYS)}, "
+                f"missing or unknown: {sorted(set(header) ^ HEADER_KEYS)}"
+            )
+        scaler_blob = header["scaler"]
+        scaler = None if scaler_blob is None else _from_header(ScalerParams, scaler_blob, path, "scaler")
 
         expected = _block_shapes(config)
         (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, path, "block count"))
@@ -175,17 +193,14 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
 
 
 def _assemble(config: ModelConfig, blocks: dict[str, np.ndarray]) -> Seq2SeqModel:
-    """Stack the per-gate blocks of the file into the in-memory layout."""
+    """Join the per-gate blocks of the file into the in-memory layout."""
 
-    def lstm(prefix: str) -> LstmParams:
-        return LstmParams(
-            w=np.concatenate([blocks[f"{prefix}.w{g}"] for g in GATES]),
-            b=np.concatenate([blocks[f"{prefix}.b{g}"] for g in GATES]),
-        )
+    def joined(param: str) -> np.ndarray:
+        return np.concatenate([blocks[name] for name in _block_names(param)])
 
     return Seq2SeqModel(
         config=config,
-        encoder=lstm("enc"),
-        decoder=lstm("dec"),
+        encoder=LstmParams(w=joined("enc.w"), b=joined("enc.b")),
+        decoder=LstmParams(w=joined("dec.w"), b=joined("dec.b")),
         output=DenseParams(w=blocks["out.w"], b=blocks["out.b"]),
     )

@@ -14,7 +14,8 @@ hidden states, softmax-normalized over encoder positions.
 Everything runs batched, time-major (step, batch, width); a single
 window is a batch of one.  Each LSTM keeps its four gates stacked in one
 weight matrix, so a step is one GEMM (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946, section 3); ``param_items`` names the per-gate blocks.
+arXiv:1604.01946, section 3).  Those stacked arrays are the trainable
+blocks; only the model file splits them per gate.
 """
 
 from __future__ import annotations
@@ -93,24 +94,17 @@ def _gate_blocks(stacked: np.ndarray, axis: int = 0) -> list[np.ndarray]:
     return [stacked[lead + (slice(k * hid, (k + 1) * hid),)] for k in range(len(GATES))]
 
 
-def _gate_items(prefix: str, w: np.ndarray, b: np.ndarray) -> list[tuple[str, np.ndarray]]:
-    """Per-gate (name, row-slice view) pairs of a stacked weight and bias."""
-    return [(f"{prefix}.{kind}{g}", block)
-            for kind, stacked in (("w", w), ("b", b))
-            for g, block in zip(GATES, _gate_blocks(stacked))]
-
-
 def param_items(model: Seq2SeqModel) -> list[tuple[str, np.ndarray]]:
     """Flat (name, array) view of every learnable block, fixed order.
 
-    Gate blocks are views into the stacked LSTM arrays, so in-place updates
-    through them update the model.
+    The arrays are the model's own, so in-place updates through them
+    update the model.
     """
-    items = _gate_items("enc", model.encoder.w, model.encoder.b)
-    items += _gate_items("dec", model.decoder.w, model.decoder.b)
-    items.append(("out.w", model.output.w))
-    items.append(("out.b", model.output.b))
-    return items
+    return [
+        ("enc.w", model.encoder.w), ("enc.b", model.encoder.b),
+        ("dec.w", model.decoder.w), ("dec.b", model.decoder.b),
+        ("out.w", model.output.w), ("out.b", model.output.b),
+    ]
 
 
 def copy_model(model: Seq2SeqModel) -> Seq2SeqModel:
@@ -352,10 +346,8 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     dc_final = ddec_c0
     enc_dw, enc_db, _, _, _ = _lstm_backward(model.encoder, cache.enc, denc_seq, dh_final, dc_final)
 
-    grads = dict(_gate_items("enc", enc_dw, enc_db) + _gate_items("dec", dec_dw, dec_db))
-    grads["out.w"] = dout_w
-    grads["out.b"] = dout_b
-    return grads
+    return {"enc.w": enc_dw, "enc.b": enc_db, "dec.w": dec_dw, "dec.b": dec_db,
+            "out.w": dout_w, "out.b": dout_b}
 
 
 def predict_batch(model: Seq2SeqModel, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .dataset import WindowedDataset
 from .errors import NumericError
 from .network import (
+    GATES,
     Seq2SeqModel,
     backward_batch,
     copy_model,
@@ -255,7 +256,8 @@ def gradient_check(
     loss_cfg: HuberConfig = HuberConfig(),
 ) -> float:
     """Worst relative error between backprop and central finite differences
-    of the Huber loss, over a random parameter sample from every block.
+    of the Huber loss, over a random parameter sample from every block;
+    each gate's rows of an LSTM array count as a block of their own.
 
     Relative error is |a - b| / max(|a|, |b|); entries where both sides are
     below 1e-8 (beneath finite-difference resolution) count as exact.
@@ -276,14 +278,17 @@ def gradient_check(
 
     rng = Rng(seed)
     worst = 0.0
+    blocks = []
     for name, arr in param_items(model):
-        flat = arr.reshape(-1)
+        pieces = 1 if name.startswith("out.") else len(GATES)
+        blocks += zip(np.split(arr, pieces), np.split(grads[name], pieces))
+    for arr, grad in blocks:
+        flat = arr.reshape(-1)  # a view: row blocks of C-ordered arrays are contiguous
         count = min(samples_per_block, flat.size)
         picked: set[int] = set()
         while len(picked) < count:
             picked.add(int(rng.next_u64() % flat.size))
-        chosen = sorted(picked)
-        for idx in chosen:
+        for idx in sorted(picked):
             orig = flat[idx]
             flat[idx] = orig + epsilon
             up = loss_at()
@@ -291,7 +296,7 @@ def gradient_check(
             down = loss_at()
             flat[idx] = orig
             fd = (up - down) / (2.0 * epsilon)
-            bp = grads[name].reshape(-1)[idx]
+            bp = grad.reshape(-1)[idx]
             scale = max(abs(fd), abs(bp))
             if scale < 1e-8:
                 continue

@@ -4,11 +4,9 @@ The transform is the Mallat cascade: correlate with the analysis pair,
 downsample by two, recurse on the approximation band.  Detail level 1 is
 the highest-frequency band.  Synthesis upsamples, convolves with the same
 filter pair, and crops using the per-level length metadata, which makes
-the round-trip exact to float precision for both extension modes.
-
-Symmetric extension is the default (no edge artifacts on non-periodic
-traffic).  Periodic extension gives a square orthogonal transform and is
-what the energy-conservation test uses.
+the round-trip exact to float precision.  Signals are extended
+symmetrically (mirrored) at both edges, so no wrap-around artifacts
+appear at the ends of a traffic series.
 """
 
 from __future__ import annotations
@@ -33,9 +31,6 @@ _DB4_LOWPASS = [
     0.032883011666982945,
     -0.010597401784997278,
 ]
-
-MODES = ("symmetric", "periodic")
-
 
 @dataclass
 class WaveletFilter:
@@ -97,7 +92,6 @@ class DwtCoeffs:
     details: list[np.ndarray]
     lengths: list[int]
     filter_name: str
-    mode: str
 
     @property
     def levels(self) -> int:
@@ -113,7 +107,6 @@ class AugmentConfig:
     factor_range: tuple[float, float] = (0.5, 1.5)
     seed: int = 0
     perturb_levels: tuple[int, ...] | None = None  # None = all levels
-    mode: str = "symmetric"
     per_band: bool = False  # one factor per detail band instead of per coefficient
 
     def __post_init__(self):
@@ -122,8 +115,6 @@ class AugmentConfig:
             raise ValueError(f"factor range must satisfy 0 <= a <= b, got [{a}, {b}]")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown extension mode '{self.mode}' (have: {MODES})")
 
 
 def max_level(signal_length: int, filt: WaveletFilter) -> int:
@@ -133,38 +124,19 @@ def max_level(signal_length: int, filt: WaveletFilter) -> int:
     return int(math.floor(math.log2(signal_length / len(filt)))) + 1
 
 
-def _extend(x: np.ndarray, pad: int, mode: str) -> np.ndarray:
-    if mode == "symmetric":
-        return np.concatenate([x[:pad][::-1], x, x[-pad:][::-1]])
-    return np.concatenate([x[-pad:], x, x[:pad]])
-
-
-def _analyze_level(x: np.ndarray, filt: WaveletFilter, mode: str) -> tuple[np.ndarray, np.ndarray]:
-    L = len(filt)
-    N = len(x)
-    ext = _extend(x, L - 1, mode)
+def _analyze_level(x: np.ndarray, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
+    pad = len(filt) - 1
+    ext = np.concatenate([x[:pad][::-1], x, x[-pad:][::-1]])  # symmetric extension
     u_lo = np.correlate(ext, filt.lowpass, mode="valid")  # length N + L - 1
     u_hi = np.correlate(ext, filt.highpass, mode="valid")
-    if mode == "periodic":
-        return u_lo[L - 1 :: 2][: N // 2], u_hi[L - 1 :: 2][: N // 2]
-    s0 = (L - 1) % 2
+    s0 = pad % 2
     return u_lo[s0::2], u_hi[s0::2]
 
 
 def _synthesize_level(
-    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, out_len: int, mode: str
+    approx: np.ndarray, detail: np.ndarray, filt: WaveletFilter, out_len: int
 ) -> np.ndarray:
     L = len(filt)
-    if mode == "periodic":
-        up_a = np.zeros(out_len)
-        up_a[::2] = approx
-        up_d = np.zeros(out_len)
-        up_d[::2] = detail
-        v = np.convolve(up_a, filt.lowpass) + np.convolve(up_d, filt.highpass)
-        out = v[:out_len].copy()
-        for p in range(out_len, len(v)):  # fold the circular tail back in
-            out[p % out_len] += v[p]
-        return out
     up_a = np.zeros(2 * len(approx))
     up_a[::2] = approx
     up_d = np.zeros(2 * len(detail))
@@ -197,17 +169,10 @@ def dwt(signal: np.ndarray, cfg: AugmentConfig) -> DwtCoeffs:
                 f"approximation at level {level} too short "
                 f"({len(cur)} < {len(cfg.filter)}); maximum feasible level is {level - 1}"
             )
-        if cfg.mode == "periodic" and len(cur) % 2 != 0:
-            raise DataError(
-                f"periodic mode needs an even length at every level; "
-                f"level {level} has {len(cur)} samples"
-            )
         lengths.append(len(cur))
-        cur, d = _analyze_level(cur, cfg.filter, cfg.mode)
+        cur, d = _analyze_level(cur, cfg.filter)
         details.append(d)
-    return DwtCoeffs(
-        approx=cur, details=details, lengths=lengths, filter_name=cfg.filter.name, mode=cfg.mode
-    )
+    return DwtCoeffs(approx=cur, details=details, lengths=lengths, filter_name=cfg.filter.name)
 
 
 def idwt(coeffs: DwtCoeffs, cfg: AugmentConfig) -> np.ndarray:
@@ -217,13 +182,11 @@ def idwt(coeffs: DwtCoeffs, cfg: AugmentConfig) -> np.ndarray:
             f"coefficients were produced with '{coeffs.filter_name}', "
             f"config carries '{cfg.filter.name}'"
         )
-    if coeffs.mode != cfg.mode:
-        raise ValueError(f"extension mode mismatch: coeffs '{coeffs.mode}' vs config '{cfg.mode}'")
     if len(coeffs.lengths) != len(coeffs.details):
         raise ValueError("length metadata does not match detail levels")
     cur = coeffs.approx
     for detail, out_len in zip(reversed(coeffs.details), reversed(coeffs.lengths)):
-        cur = _synthesize_level(cur, detail, cfg.filter, out_len, cfg.mode)
+        cur = _synthesize_level(cur, detail, cfg.filter, out_len)
     return cur
 
 
@@ -281,7 +244,7 @@ def expand_dataset(original: TimeSeries, cfg: AugmentConfig, copies: int) -> lis
         "filter": cfg.filter.name,
         "levels": cfg.levels,
         "factor_range": list(cfg.factor_range),
-        "mode": cfg.mode,
+        "mode": "symmetric",  # the one extension mode, kept for stable provenance files
         "per_band": cfg.per_band,
         "base_seed": cfg.seed,
     }

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfl import dataset as ds
+from tfl.cli import main
 from tfl.errors import DataError
 
 
@@ -133,6 +134,30 @@ class TestGapFillMatchesScalarLoop:
         with pytest.raises(DataError) as got:
             ds.load_csv(path, interval=interval)
         assert str(got.value) == str(expected.value)
+
+
+# CSVs whose gap fill cannot be allocated at all, and the slot total each names
+UNFILLABLE = {
+    # more than 2^63 slots: an int64 cast would wrap
+    "int64_overflow": (["0", "300", "30000000000000000000000"], "100000000000000000000 slots"),
+    # the gap over a microsecond step overflows the float ratio itself
+    "infinite_ratio": (["0", "1970-01-01T00:00:00.000001Z", "1" + "0" * 308], "inf slots"),
+    # about 10^15 slots (8 PB): numpy refuses the allocation
+    "allocation_refused": (["0", "1", "1000000000000001"], "1000000000000002 slots"),
+}
+
+
+class TestUnfillableGap:
+    @pytest.mark.parametrize("case", sorted(UNFILLABLE))
+    def test_data_error_names_row_and_slots(self, tmp_path, capsys, case):
+        stamps, slots = UNFILLABLE[case]
+        path = write_lines(tmp_path / "gap.csv", ["timestamp,bps"] + [f"{t},5.0" for t in stamps])
+        with pytest.raises(DataError, match=f"row 3 makes a grid of {slots}"):
+            ds.load_csv(path)
+        assert main(["stats", "--data", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+        assert "Warning" not in err[0]
 
 
 class TestCountersToBps:

@@ -1,6 +1,8 @@
 import json
+import math
 import struct
 
+import numpy as np
 import numpy.testing as npt
 import pytest
 
@@ -47,7 +49,32 @@ MALFORMED = {
     "missing_provenance": (lambda raw: with_header(
         raw, lambda h: {k: v for k, v in h.items() if k != "provenance"}), "header 'provenance'"),
     "huge_block_dims": (lambda raw: with_first_dims(raw, (2 ** 31, 2 ** 31)), "config implies"),
+    "missing_scaler": (lambda raw: with_header(
+        raw, lambda h: {k: v for k, v in h.items() if k != "scaler"}), "exactly the keys"),
+    "unknown_top_key": (lambda raw: with_header(raw, lambda h: {
+        **h, "comment": "hand-edited"}), "exactly the keys"),
 }
+
+
+def file_blocks(raw: bytes) -> list[tuple[str, np.ndarray]]:
+    """(name, data) of every weight block of the model file ``raw``, in order."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    at = 12 + hlen
+    (count,) = struct.unpack("<I", raw[at : at + 4])
+    at += 4
+    blocks = []
+    for _ in range(count):
+        (nlen,) = struct.unpack("<I", raw[at : at + 4])
+        name = raw[at + 4 : at + 4 + nlen].decode()
+        at += 4 + nlen
+        (ndim,) = struct.unpack("<I", raw[at : at + 4])
+        dims = struct.unpack(f"<{ndim}I", raw[at + 4 : at + 4 + 4 * ndim])
+        at += 4 + 4 * ndim
+        size = 8 * math.prod(dims)
+        blocks.append((name, np.frombuffer(raw[at : at + size], dtype="<f8").reshape(dims)))
+        at += size
+    assert at == len(raw)
+    return blocks
 
 
 class TestRoundTrip:
@@ -71,6 +98,28 @@ class TestRoundTrip:
         loaded, scaler, provenance = mio.load_model(first)
         mio.save_model(loaded, scaler, provenance, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_file_keeps_per_gate_blocks_in_order(self, tmp_path, attention):
+        # in memory each LSTM is one stacked weight and bias; the file
+        # stores them as one block per gate, f, i, c, o
+        model = make_model(attention)
+        path = tmp_path / "m.tfl"
+        mio.save_model(model, None, {}, path)
+        blocks = file_blocks(path.read_bytes())
+        hid = model.config.hidden
+        expected = []
+        for prefix, width in (("enc", 1), ("dec", hid)):
+            expected += [(f"{prefix}.w{g}", (hid, hid + width)) for g in "fico"]
+            expected += [(f"{prefix}.b{g}", (hid,)) for g in "fico"]
+        expected += [("out.w", (2 * hid if attention else hid,)), ("out.b", (1,))]
+        assert [(name, data.shape) for name, data in blocks] == expected
+        data = dict(blocks)
+        for prefix, lstm in (("enc", model.encoder), ("dec", model.decoder)):
+            for k, g in enumerate("fico"):
+                rows = slice(k * hid, (k + 1) * hid)
+                npt.assert_array_equal(data[f"{prefix}.w{g}"], lstm.w[rows])
+                npt.assert_array_equal(data[f"{prefix}.b{g}"], lstm.b[rows])
 
     def test_missing_scaler_roundtrips_as_none(self, tmp_path):
         path = tmp_path / "m.tfl"

@@ -276,18 +276,22 @@ class TestBackward:
         eps = 1e-6
         rng = Rng(7)
         for name, arr in net.param_items(model):
-            flat = arr.reshape(-1)
-            for _ in range(min(6, flat.size)):
-                idx = rng.next_u64() % flat.size
-                orig = flat[idx]
-                flat[idx] = orig + eps
-                up = reduced_loss()
-                flat[idx] = orig - eps
-                down = reduced_loss()
-                flat[idx] = orig
-                fd = (up - down) / (2 * eps)
-                bp = grads[name].reshape(-1)[idx]
-                assert abs(fd - bp) <= 1e-6 + 1e-4 * max(abs(fd), abs(bp)), name
+            # six draws from each gate's rows of an LSTM array
+            pieces = 1 if name.startswith("out.") else len(net.GATES)
+            blocks = zip(np.split(arr, pieces), np.split(grads[name], pieces))
+            for k, (block, grad) in enumerate(blocks):
+                flat = block.reshape(-1)
+                for _ in range(min(6, flat.size)):
+                    idx = rng.next_u64() % flat.size
+                    orig = flat[idx]
+                    flat[idx] = orig + eps
+                    up = reduced_loss()
+                    flat[idx] = orig - eps
+                    down = reduced_loss()
+                    flat[idx] = orig
+                    fd = (up - down) / (2 * eps)
+                    bp = grad.reshape(-1)[idx]
+                    assert abs(fd - bp) <= 1e-6 + 1e-4 * max(abs(fd), abs(bp)), (name, k)
 
 
 class TestInit:
@@ -324,18 +328,18 @@ class TestInit:
         out_bound = math.sqrt(6.0 / (9 + 1))
         assert np.all(np.abs(model.output.w) <= out_bound)
 
-    def test_param_items_are_gate_views_of_stacked_arrays(self):
-        hidden = 3
-        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=hidden), Rng(14))
-        items = dict(net.param_items(model))
-        for prefix, lstm in (("enc", model.encoder), ("dec", model.decoder)):
-            for k, g in enumerate(net.GATES):
-                rows = slice(k * hidden, (k + 1) * hidden)
-                items[f"{prefix}.w{g}"][0, 0] = 10.0 + k
-                items[f"{prefix}.b{g}"][0] = 20.0 + k
-                assert lstm.w[rows][0, 0] == 10.0 + k
-                assert lstm.b[rows][0] == 20.0 + k
-        assert list(items)[-2:] == ["out.w", "out.b"]
+    def test_param_items_are_the_stacked_arrays(self):
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(14))
+        items = net.param_items(model)
+        assert [name for name, _ in items] == ["enc.w", "enc.b", "dec.w", "dec.b", "out.w", "out.b"]
+        owned = [model.encoder.w, model.encoder.b, model.decoder.w, model.decoder.b,
+                 model.output.w, model.output.b]
+        assert all(arr is own for (_, arr), own in zip(items, owned))
+        cache = net.forward_batch(model, [[0.2, 0.4, 0.1, 0.9]])
+        grads = net.backward_batch(model, cache, np.ones((1, 2)))
+        assert list(grads) == [name for name, _ in items]
+        for name, arr in items:
+            assert grads[name].shape == arr.shape, name
 
 
 class TestForwardProperties:

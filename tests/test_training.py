@@ -244,6 +244,29 @@ class TestGradientCheck:
         targets = Rng(38).uniform_array(2, 0, 1)
         assert tr.gradient_check(model, window, targets, 1e-5) < 1e-4
 
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_every_gate_block_is_sampled(self, monkeypatch, attention):
+        # a wrong gradient confined to one gate's rows of one LSTM array must
+        # show, even with a single draw per block
+        model = small_model(attention=attention, n_past=4, n_future=2, hidden=3, seed=39)
+        window = Rng(40).uniform_array(4, 0, 1)
+        targets = Rng(41).uniform_array(2, 0, 1)
+        hid = model.config.hidden
+        exact = tr.backward_batch
+        for name in ("enc.w", "enc.b", "dec.w", "dec.b"):
+            for k in range(len(net.GATES)):
+                def corrupted(*args, name=name, k=k):
+                    grads = exact(*args)
+                    rows = grads[name][k * hid : (k + 1) * hid]
+                    rows += 10.0 * (1.0 + np.abs(rows))
+                    return grads
+
+                monkeypatch.setattr(tr, "backward_batch", corrupted)
+                worst = tr.gradient_check(model, window, targets, 1e-5, samples_per_block=1)
+                assert worst > 0.9, (name, net.GATES[k])
+        monkeypatch.setattr(tr, "backward_batch", exact)
+        assert tr.gradient_check(model, window, targets, 1e-5, samples_per_block=1) < 1e-4
+
     def test_zero_epsilon_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match="epsilon"):

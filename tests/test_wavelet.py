@@ -63,14 +63,6 @@ class TestDwt:
         npt.assert_allclose(coeffs.approx, [3 / SQRT2, 7 / SQRT2], atol=1e-12)
         npt.assert_allclose(coeffs.details[0], [-1 / SQRT2, -1 / SQRT2], atol=1e-12)
 
-    def test_energy_conservation_periodic(self):
-        rng = Rng(100)
-        for seed in range(5):
-            x = Rng(seed).normal_array(64)
-            coeffs = wv.dwt(x, cfg_for("db4", levels=3, mode="periodic"))
-            energy = (coeffs.approx ** 2).sum() + sum((d ** 2).sum() for d in coeffs.details)
-            assert abs((x ** 2).sum() - energy) < 1e-9
-
     def test_too_short_reports_feasible_level(self):
         with pytest.raises(DataError, match="maximum feasible level is 2"):
             wv.dwt(np.ones(16), cfg_for("db4", levels=3))
@@ -83,7 +75,7 @@ class TestDwt:
         # an alternating signal is pure high frequency: level-1 details carry
         # essentially all the energy
         x = np.array([1.0, -1.0] * 32) + 5.0
-        coeffs = wv.dwt(x, cfg_for("haar", levels=3, mode="periodic"))
+        coeffs = wv.dwt(x, cfg_for("haar", levels=3))
         d1 = (coeffs.details[0] ** 2).sum()
         rest = sum((d ** 2).sum() for d in coeffs.details[1:])
         assert d1 > 50 * rest
@@ -108,7 +100,7 @@ class TestIdwt:
         coeffs = wv.DwtCoeffs(
             approx=np.array([SQRT2, SQRT2]),
             details=[np.array([0.0, 0.0])],
-            lengths=[4], filter_name="haar", mode="symmetric",
+            lengths=[4], filter_name="haar",
         )
         npt.assert_allclose(wv.idwt(coeffs, cfg), [1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
@@ -118,25 +110,19 @@ class TestIdwt:
         with pytest.raises(ValueError, match="haar"):
             wv.idwt(coeffs, cfg_for("db4"))
 
-    def test_mode_mismatch_rejected(self):
-        coeffs = wv.dwt(np.ones(16), cfg_for("haar", mode="periodic"))
-        with pytest.raises(ValueError, match="mode"):
-            wv.idwt(coeffs, cfg_for("haar", mode="symmetric"))
-
     @given(
         st.integers(4, 8),
         st.integers(1, 3),
         st.sampled_from(["haar", "db4"]),
-        st.sampled_from(["symmetric", "periodic"]),
         st.integers(0, 2**32),
     )
     @settings(max_examples=60, deadline=None)
-    def test_perfect_reconstruction_property(self, log_len, levels, name, mode, seed):
+    def test_perfect_reconstruction_property(self, log_len, levels, name, seed):
         filt = wv.get_filter(name)
         n = 2 ** log_len
         levels = min(levels, wv.max_level(n, filt))
         x = Rng(seed).uniform_array(n, -5, 5)
-        cfg = cfg_for(name, levels=levels, mode=mode)
+        cfg = cfg_for(name, levels=levels)
         assert np.abs(wv.idwt(wv.dwt(x, cfg), cfg) - x).max() < 1e-9
 
 
@@ -160,7 +146,7 @@ class TestPerturb:
         smooth = wv.DwtCoeffs(
             approx=coeffs.approx.copy(),
             details=[np.zeros_like(d) for d in coeffs.details],
-            lengths=coeffs.lengths, filter_name=coeffs.filter_name, mode=coeffs.mode,
+            lengths=coeffs.lengths, filter_name=coeffs.filter_name,
         )
         npt.assert_allclose(wv.idwt(shaken, cfg), wv.idwt(smooth, cfg), atol=1e-12)
 
