@@ -146,10 +146,10 @@ SYNTH_OPTS = [
     Opt("out", str, None, "output CSV path"),
     Opt("length", int, 20000, "number of 5-minute samples"),
     Opt("base_bps", float, 5e8, "traffic level"),
-    Opt("daily_amp", float, 0.0, "daily sinusoid amplitude"),
+    Opt("daily_amp", float, 2e8, "daily sinusoid amplitude"),
     Opt("weekly_amp", float, 0.0, "weekly sinusoid amplitude"),
     Opt("trend_per_day", float, 0.0, "linear trend per day"),
-    Opt("noise_std", float, 0.0, "Gaussian noise level"),
+    Opt("noise_std", float, 2e7, "Gaussian noise level"),
     Opt("seed", int, 42, "generator seed"),
 ]
 
@@ -307,8 +307,7 @@ def cmd_train(cfg: dict) -> int:
     model = network.init(mc, Rng(cfg["seed"]))
     tc = training.TrainConfig(epochs=cfg["epochs"], batch=cfg["batch"],
                               lr=cfg["lr"], seed=cfg["seed"])
-    model, history = training.train(model, windows, tc,
-                                    training.HuberConfig(cfg["delta"]))
+    model, history = training.train(model, windows, tc, cfg["delta"])
 
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -351,8 +350,7 @@ def cmd_transfer(cfg: dict) -> int:
                                 lr=cfg["phase1_lr"], seed=cfg["seed"])
     cfg2 = training.TrainConfig(epochs=cfg["phase2_epochs"], batch=cfg["batch"],
                                 lr=cfg["phase2_lr"], seed=cfg["seed"])
-    result = training.transfer(source, windows, cfg1, cfg2,
-                               training.HuberConfig(cfg["delta"]))
+    result = training.transfer(source, windows, cfg1, cfg2, cfg["delta"])
 
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)

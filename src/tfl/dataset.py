@@ -111,12 +111,14 @@ def _parse_timestamp(text: str) -> float:
     return dt.timestamp()
 
 
-def load_csv(path, interval: float | None = None) -> tuple[TimeSeries, int]:
+def load_csv(path) -> tuple[TimeSeries, int]:
     """Read a ``timestamp,bps`` file into a series.
 
-    Missing grid slots are filled by linear interpolation; the returned
-    count is the number of interpolated points.  Rows that do not parse,
-    non-monotone timestamps, and negative values are rejected.
+    The grid step is the smallest timestamp gap.  Missing grid slots are
+    filled by linear interpolation; the returned count is the number of
+    interpolated points.  Rows that do not parse, non-monotone timestamps,
+    gaps that are not a whole number of steps, and negative values are
+    rejected.
     """
     times: list[float] = []
     values: list[float] = []
@@ -148,7 +150,7 @@ def load_csv(path, interval: float | None = None) -> tuple[TimeSeries, int]:
         raise DataError(f"{path}: need at least 2 data rows, got {len(times)}")
 
     deltas = np.diff(times)
-    step = float(interval) if interval is not None else float(deltas.min())
+    step = float(deltas.min())
     with np.errstate(over="ignore"):  # an infinite ratio fails the slot total below
         ratio = deltas / step
     slots = np.rint(ratio)  # half to even, as round() does
@@ -157,7 +159,7 @@ def load_csv(path, interval: float | None = None) -> tuple[TimeSeries, int]:
     total = slots.sum() + 1
     if not total < 2.0 ** 62:
         raise _unfillable(path, deltas, slots, total)
-    bad = np.flatnonzero((slots < 1) | (np.abs(ratio - slots) > 1e-6))
+    bad = np.flatnonzero(np.abs(ratio - slots) > 1e-6)
     if bad.size:
         k = bad[0]
         raise DataError(
@@ -195,13 +197,19 @@ def _fill_gaps(values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def write_csv(series: TimeSeries, path) -> None:
-    """Emit ``timestamp,bps`` rows; values keep full float precision."""
+    """Emit ``timestamp,bps`` rows; values keep full float precision.
+
+    Timestamps carry microseconds unless the start and the interval are
+    both whole seconds.
+    """
+    whole = series.start.microsecond == 0 and float(series.interval).is_integer()
+    fmt = "%Y-%m-%dT%H:%M:%SZ" if whole else "%Y-%m-%dT%H:%M:%S.%fZ"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for k, v in enumerate(series.values):
             ts = series.start + timedelta(seconds=k * series.interval)
-            writer.writerow([ts.strftime("%Y-%m-%dT%H:%M:%SZ"), repr(float(v))])
+            writer.writerow([ts.strftime(fmt), repr(float(v))])
 
 
 def counters_to_bps(

@@ -87,11 +87,10 @@ def output_width(config: ModelConfig) -> int:
     return 2 * config.hidden if config.attention else config.hidden
 
 
-def _gate_blocks(stacked: np.ndarray, axis: int = 0) -> list[np.ndarray]:
-    """Views of the GATES-ordered blocks of ``stacked`` along ``axis``."""
-    hid = stacked.shape[axis] // len(GATES)
-    lead = (slice(None),) * axis
-    return [stacked[lead + (slice(k * hid, (k + 1) * hid),)] for k in range(len(GATES))]
+def _gate_blocks(stacked: np.ndarray) -> list[np.ndarray]:
+    """Views of the GATES-ordered column blocks of a (B, 4H) gate array."""
+    hid = stacked.shape[1] // len(GATES)
+    return [stacked[:, k * hid:(k + 1) * hid] for k in range(len(GATES))]
 
 
 def param_items(model: Seq2SeqModel) -> list[tuple[str, np.ndarray]]:
@@ -117,10 +116,6 @@ def copy_model(model: Seq2SeqModel) -> Seq2SeqModel:
         decoder=cp(model.decoder),
         output=DenseParams(w=model.output.w.copy(), b=model.output.b.copy()),
     )
-
-
-def param_count(model: Seq2SeqModel) -> int:
-    return sum(arr.size for _, arr in param_items(model))
 
 
 def _glorot(rows: int, cols: int, rng: Rng) -> np.ndarray:
@@ -199,7 +194,7 @@ def _run_lstm(params: LstmParams, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray
         np.tanh(act[:, cand], out=g_act)
         sigmoid(act, out=act)
         act[:, cand] = g_act
-        f, i, g, o = _gate_blocks(act, axis=1)
+        f, i, g, o = _gate_blocks(act)
         np.multiply(f, c, out=c_t)
         np.multiply(i, g, out=h_t)  # h_t holds i*g until the hidden update
         c_t += h_t
@@ -230,7 +225,7 @@ def _lstm_backward(
     dh_carry = dh_final.copy()
     dc_carry = dc_final.copy()
     for t in reversed(range(T)):
-        f, i, g, o = _gate_blocks(cache.gates[t], axis=1)
+        f, i, g, o = _gate_blocks(cache.gates[t])
         tc = cache.tanh_c[t]
         dh = dh_seq[t] + dh_carry
         dc = dh * o * (1.0 - tc ** 2) + dc_carry

@@ -7,8 +7,7 @@ handful of operations here.  All array math is 64-bit; matrices are plain
 The random generator is a hand-rolled splitmix64 (Steele, Lea & Flood's
 mixing constants) rather than the platform default, so that a seed
 produces the identical stream on every platform and numpy version.  Its
-entire state is one 64-bit integer, which round-trips through
-serialization.
+entire state is one 64-bit integer.
 """
 
 from __future__ import annotations
@@ -28,25 +27,13 @@ class Rng:
     """splitmix64 stream: 64-bit state, fixed golden-ratio increment.
 
     Each draw advances the state by ``_GAMMA`` and mixes it through two
-    xor-multiply rounds.  Identical seeds give identical streams; the
-    state is exactly one integer and can be captured/restored at any
-    point mid-stream.
+    xor-multiply rounds.  Identical seeds give identical streams.
     """
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int) -> None:
         self._state = seed & _MASK64
-
-    @property
-    def state(self) -> int:
-        return self._state
-
-    @classmethod
-    def from_state(cls, state: int) -> "Rng":
-        rng = cls(0)
-        rng._state = state & _MASK64
-        return rng
 
     @classmethod
     def derive(cls, seed: int, index: int) -> "Rng":

@@ -1,16 +1,19 @@
-"""Huber loss, Adam with freeze masks, the training loop, and two-phase
-transfer learning.
+"""Huber loss, Adam over the trained blocks, the training loop, and
+two-phase transfer learning.
 
-Transfer re-targets a trained model: the output layer is re-initialized,
-phase 1 trains only that layer at the higher learning rate, phase 2
-unfreezes everything and fine-tunes at the reduced rate.  Optimizer
-moments start fresh in each phase because their scale is coupled to the
-learning rate.
+A block is trained exactly when Adam holds moments for it: the optimizer
+state of a run names the trained blocks, and every other block stays
+bitwise unchanged.  Transfer re-targets a trained model: the output layer
+is re-initialized, phase 1 trains only that layer at the higher learning
+rate, phase 2 trains every block and fine-tunes at the reduced rate.
+Optimizer moments start fresh in each phase because their scale is
+coupled to the learning rate.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,100 +34,86 @@ from .numeric import Rng
 DEFAULT_PHASE1_LR = 0.001
 DEFAULT_PHASE2_LR = 0.0001
 
-
-@dataclass
-class HuberConfig:
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"huber delta must be > 0, got {self.delta}")
+# Adam's decay rates and denominator guard (Kingma & Ba's defaults)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
-def huber(pred: np.ndarray, target: np.ndarray, cfg: HuberConfig = HuberConfig()) -> tuple[float, np.ndarray]:
+def huber(pred: np.ndarray, target: np.ndarray, delta: float = 1.0) -> tuple[float, np.ndarray]:
     """Mean-reduced Huber loss and its exact gradient wrt predictions.
 
     Per element: 0.5 e^2 for |e| <= delta, else delta (|e| - 0.5 delta).
     """
+    if not delta > 0:
+        raise ValueError(f"huber delta must be > 0, got {delta}")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"prediction/target shape mismatch: {pred.shape} vs {target.shape}")
     err = pred - target
     abs_err = np.abs(err)
-    quad = abs_err <= cfg.delta
-    per_elem = np.where(quad, 0.5 * err ** 2, cfg.delta * (abs_err - 0.5 * cfg.delta))
+    quad = abs_err <= delta
+    per_elem = np.where(quad, 0.5 * err ** 2, delta * (abs_err - 0.5 * delta))
     n = err.size
     loss = float(per_elem.sum() / n)
-    grad = np.where(quad, err, cfg.delta * np.sign(err)) / n
+    grad = np.where(quad, err, delta * np.sign(err)) / n
     return loss, grad
 
 
 @dataclass
 class AdamState:
-    """First/second moment trees plus step count; one state per run."""
+    """First/second moments of the trained blocks plus step count; one
+    state per run."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def fresh(cls, model: Seq2SeqModel, lr: float) -> "AdamState":
-        m = {name: np.zeros_like(arr) for name, arr in param_items(model)}
-        v = {name: np.zeros_like(arr) for name, arr in param_items(model)}
+    def fresh(cls, model: Seq2SeqModel, lr: float, trainable: Iterable[str] | None = None) -> "AdamState":
+        """Zero moments for the ``param_items`` blocks named in ``trainable``
+        (None names them all); only these blocks are trained."""
+        params = param_items(model)
+        if trainable is not None:
+            trainable = set(trainable)
+            unknown = trainable - {name for name, _ in params}
+            if unknown:
+                raise ValueError(f"unknown trainable block(s): {sorted(unknown)}")
+            params = [(name, arr) for name, arr in params if name in trainable]
+        m = {name: np.zeros_like(arr) for name, arr in params}
+        v = {name: np.zeros_like(arr) for name, arr in params}
         return cls(m=m, v=v, t=0, lr=lr)
 
 
-def full_mask(model: Seq2SeqModel, trainable: bool = True) -> dict[str, bool]:
-    return {name: trainable for name, _ in param_items(model)}
-
-
-def output_only_mask(model: Seq2SeqModel) -> dict[str, bool]:
-    """Freeze everything except the output layer (transfer phase 1)."""
-    return {name: name.startswith("out.") for name, _ in param_items(model)}
-
-
-def adam_step(
-    model: Seq2SeqModel,
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-    mask: dict[str, bool] | None = None,
-) -> None:
-    """Bias-corrected Adam update in place, applied only where the mask is
-    true.  Frozen parameters stay bitwise unchanged and their moments are
-    not advanced."""
+def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamState) -> None:
+    """Bias-corrected Adam update in place of the blocks ``state`` holds
+    moments for.  Every other block stays bitwise unchanged."""
     params = dict(param_items(model))
     if set(grads) != set(params):
         raise ValueError(
             f"gradient tree does not match model parameters: "
             f"{sorted(set(grads) ^ set(params))}"
         )
-    if mask is not None and set(mask) != set(params):
-        raise ValueError("freeze mask keys do not match model parameters")
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
     state.t += 1
-    correction1 = 1.0 - state.beta1 ** state.t
-    correction2 = 1.0 - state.beta2 ** state.t
-    for name, p in params.items():
-        if mask is not None and not mask[name]:
-            continue
+    correction1 = 1.0 - BETA1 ** state.t
+    correction2 = 1.0 - BETA2 ** state.t
+    for name, m in state.m.items():
         g = grads[name]
-        m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g ** 2
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g ** 2
         m_hat = m / correction1
         v_hat = v / correction2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p = params[name]
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass
@@ -133,7 +122,6 @@ class TrainConfig:
     batch: int = 32
     lr: float = 0.001
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -148,13 +136,14 @@ def train(
     model: Seq2SeqModel,
     data: WindowedDataset,
     cfg: TrainConfig,
-    loss_cfg: HuberConfig = HuberConfig(),
-    mask: dict[str, bool] | None = None,
+    delta: float = 1.0,
+    trainable: Iterable[str] | None = None,
 ) -> tuple[Seq2SeqModel, list[float]]:
     """Minibatch Adam on a copy of the model; returns (model, per-epoch loss).
 
-    Deterministic for a fixed seed: the shuffle order comes from the
-    toolkit's own stream, batches are visited in order, and gradient
+    Only the blocks named in ``trainable`` (None: all) are updated.
+    Deterministic for a fixed seed: each epoch's shuffle order comes from
+    the toolkit's own stream, batches are visited in order, and gradient
     reduction is a fixed summation.
     """
     if len(data) == 0:
@@ -168,22 +157,21 @@ def train(
             f"model config ({mc.n_past}->{mc.n_future})"
         )
     model = copy_model(model)
-    state = AdamState.fresh(model, cfg.lr)
+    state = AdamState.fresh(model, cfg.lr, trainable)
     rng = Rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
         order = np.arange(len(data))
-        if cfg.shuffle:
-            rng.shuffle(order)
+        rng.shuffle(order)
         total = 0.0
         for k in range(0, len(order), cfg.batch):
             idx = order[k : k + cfg.batch]
             cache = forward_batch(model, data.inputs[idx])
-            loss, dpred = huber(cache.preds, data.targets[idx], loss_cfg)
+            loss, dpred = huber(cache.preds, data.targets[idx], delta)
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite at step {state.t + 1}")
             grads = backward_batch(model, cache, dpred)
-            adam_step(model, grads, state, mask)
+            adam_step(model, grads, state)
             total += loss * len(idx)
         history.append(total / len(data))
     return model, history
@@ -210,7 +198,7 @@ def transfer(
     target_data: WindowedDataset,
     cfg1: TrainConfig,
     cfg2: TrainConfig,
-    loss_cfg: HuberConfig = HuberConfig(),
+    delta: float = 1.0,
 ) -> TransferResult:
     """Adapt a source-domain model to target windows in two phases.
 
@@ -232,13 +220,14 @@ def transfer(
     phases = []
 
     if cfg1.epochs > 0:
-        model, hist1 = train(model, target_data, cfg1, loss_cfg, mask=output_only_mask(model))
+        head = [name for name, _ in param_items(model) if name.startswith("out.")]
+        model, hist1 = train(model, target_data, cfg1, delta, head)
     else:
         hist1 = []
     phases.append(PhaseLog(name="freeze-body", lr=cfg1.lr, epochs=cfg1.epochs, history=hist1))
 
     if cfg2.epochs > 0:
-        model, hist2 = train(model, target_data, cfg2, loss_cfg, mask=None)
+        model, hist2 = train(model, target_data, cfg2, delta)
     else:
         hist2 = []
     phases.append(PhaseLog(name="fine-tune", lr=cfg2.lr, epochs=cfg2.epochs, history=hist2))
@@ -253,7 +242,7 @@ def gradient_check(
     epsilon: float,
     samples_per_block: int = 20,
     seed: int = 0,
-    loss_cfg: HuberConfig = HuberConfig(),
+    delta: float = 1.0,
 ) -> float:
     """Worst relative error between backprop and central finite differences
     of the Huber loss, over a random parameter sample from every block;
@@ -268,12 +257,12 @@ def gradient_check(
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
 
     cache = forward_batch(model, window[None, :])
-    _, dpred = huber(cache.preds[0], targets, loss_cfg)
+    _, dpred = huber(cache.preds[0], targets, delta)
     grads = backward_batch(model, cache, dpred[None, :])
 
     def loss_at() -> float:
         preds = forward_batch(model, window[None, :]).preds[0]
-        value, _ = huber(preds, targets, loss_cfg)
+        value, _ = huber(preds, targets, delta)
         return value
 
     rng = Rng(seed)

@@ -106,7 +106,6 @@ class AugmentConfig:
     levels: int = 3
     factor_range: tuple[float, float] = (0.5, 1.5)
     seed: int = 0
-    perturb_levels: tuple[int, ...] | None = None  # None = all levels
     per_band: bool = False  # one factor per detail band instead of per coefficient
 
     def __post_init__(self):
@@ -163,12 +162,7 @@ def dwt(signal: np.ndarray, cfg: AugmentConfig) -> DwtCoeffs:
     details: list[np.ndarray] = []
     lengths: list[int] = []
     cur = signal
-    for level in range(1, cfg.levels + 1):
-        if len(cur) < len(cfg.filter):
-            raise DataError(
-                f"approximation at level {level} too short "
-                f"({len(cur)} < {len(cfg.filter)}); maximum feasible level is {level - 1}"
-            )
+    for _ in range(cfg.levels):
         lengths.append(len(cur))
         cur, d = _analyze_level(cur, cfg.filter)
         details.append(d)
@@ -191,23 +185,16 @@ def idwt(coeffs: DwtCoeffs, cfg: AugmentConfig) -> np.ndarray:
 
 
 def perturb(coeffs: DwtCoeffs, cfg: AugmentConfig, rng: Rng) -> DwtCoeffs:
-    """Scale detail coefficients by random factors from ``factor_range``.
+    """Scale every detail coefficient by a random factor from ``factor_range``.
 
     Approximation coefficients pass through untouched.  Factors are drawn
     per coefficient (or per band with ``per_band``), levels in ascending
     order, so a seed fixes the result.
     """
-    levels = cfg.perturb_levels or tuple(range(1, coeffs.levels + 1))
-    bad = [lv for lv in levels if not 1 <= lv <= coeffs.levels]
-    if bad:
-        raise ValueError(f"perturb levels {bad} outside decomposition range 1..{coeffs.levels}")
     a, b = cfg.factor_range
-    selected = set(levels)
     new_details = []
-    for level, d in enumerate(coeffs.details, start=1):
-        if level not in selected:
-            new_details.append(d.copy())
-        elif cfg.per_band:
+    for d in coeffs.details:
+        if cfg.per_band:
             new_details.append(d * rng.uniform(a, b))
         else:
             new_details.append(d * rng.uniform_array(len(d), a, b))

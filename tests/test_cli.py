@@ -46,6 +46,14 @@ class TestSynthStats:
                          "--seed", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_profile_is_trainable(self, tmp_path):
+        # the defaults are the README source profile, not a constant series
+        data = tmp_path / "x.csv"
+        assert main(["synth", "--out", str(data), "--length", "1500", "--seed", "3"]) == 0
+        assert "daily_amp=200000000.0" in (tmp_path / "synth_config.txt").read_text()
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.tfl"),
+                     "--hidden", "4", "--epochs", "1"]) == 0
+
     def test_stats_prints_and_writes(self, tmp_path, series_csv, capsys):
         out = tmp_path / "stats.csv"
         assert main(["stats", "--data", str(series_csv), "--out", str(out)]) == 0
@@ -230,6 +238,11 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("timestamp,bps\n0,10\n300,broken\n")
         assert main(["stats", "--data", str(bad)]) == 2
+
+    def test_non_positive_huber_delta_is_data_error(self, tmp_path, series_csv, capsys):
+        assert main(train_args(series_csv, tmp_path / "m.tfl", delta="0")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: huber delta must be > 0, got 0.0"]
 
 
 # SHA-256 of (adapted model, its raw-unit metrics CSV) from TestGoldenHash,

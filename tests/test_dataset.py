@@ -79,6 +79,30 @@ class TestLoadCsv:
         assert warnings == 0
         npt.assert_array_equal(loaded.values, series.values)
 
+    @pytest.mark.parametrize("stamps, interval", [
+        (["00:00:00", "00:00:00.500", "00:00:01", "00:00:01.500"], 0.5),
+        (["00:00:00.123", "00:05:00.123", "00:10:00.123", "00:15:00.123"], 300.0),
+    ])
+    def test_sub_second_grid_roundtrip(self, tmp_path, stamps, interval):
+        values = [1.0, 2.5, 4.0, 8.25]
+        original, _ = ds.load_csv(write_lines(tmp_path / "in.csv", ["timestamp,bps"] + [
+            f"2024-01-01T{t}Z,{v!r}" for t, v in zip(stamps, values)]))
+        assert original.interval == interval
+        assert original.start == datetime.fromisoformat(f"2024-01-01T{stamps[0]}+00:00")
+        ds.write_csv(original, tmp_path / "out.csv")
+        loaded, warnings = ds.load_csv(tmp_path / "out.csv")
+        assert warnings == 0
+        npt.assert_array_equal(loaded.values, values)
+        assert (loaded.start, loaded.interval) == (original.start, original.interval)
+
+    def test_whole_second_csv_rewritten_byte_for_byte(self, tmp_path):
+        text = "timestamp,bps\r\n" + "".join(
+            f"2024-03-10T0{h}:{m}0:00Z,{100.0 * h + m + 0.25!r}\r\n" for h in range(3) for m in range(6))
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        ds.write_csv(ds.load_csv(path)[0], tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == text.encode()
+
 
 def scalar_gap_fill(path, times, values, step):
     """Per-row gap fill, one interpolated slot at a time: the oracle for the
@@ -113,26 +137,24 @@ def random_gap_csv(path, seed, bad_gaps=0):
 
 class TestGapFillMatchesScalarLoop:
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("interval", [None, 300.0, 150.0, 100.0])
-    def test_bitwise_equal_on_random_gaps(self, tmp_path, seed, interval):
+    def test_bitwise_equal_on_random_gaps(self, tmp_path, seed):
         path = tmp_path / "gaps.csv"
         times, values = random_gap_csv(path, seed)
-        step = interval if interval is not None else float(np.diff(times).min())
+        step = float(np.diff(times).min())
         expected, expected_warnings = scalar_gap_fill(path, times, values, step)
-        series, warnings = ds.load_csv(path, interval=interval)
+        series, warnings = ds.load_csv(path)
         assert warnings == expected_warnings
         npt.assert_array_equal(series.values.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("interval", [None, 600.0])
-    def test_first_bad_gap_reported_like_scalar_loop(self, tmp_path, seed, interval):
+    def test_first_bad_gap_reported_like_scalar_loop(self, tmp_path, seed):
         path = tmp_path / "gaps.csv"
         times, values = random_gap_csv(path, seed, bad_gaps=3)
-        step = interval if interval is not None else float(np.diff(times).min())
+        step = float(np.diff(times).min())
         with pytest.raises(DataError) as expected:
             scalar_gap_fill(path, times, values, step)
         with pytest.raises(DataError) as got:
-            ds.load_csv(path, interval=interval)
+            ds.load_csv(path)
         assert str(got.value) == str(expected.value)
 
 

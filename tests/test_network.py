@@ -312,7 +312,7 @@ class TestInit:
             + 4 * (hidden * 2 * hidden + hidden)
             + hidden + 1
         )
-        assert net.param_count(model) == expected
+        assert sum(arr.size for _, arr in net.param_items(model)) == expected
 
     def test_attention_output_width(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=10, attention=True), Rng(0))

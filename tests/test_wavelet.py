@@ -67,6 +67,15 @@ class TestDwt:
         with pytest.raises(DataError, match="maximum feasible level is 2"):
             wv.dwt(np.ones(16), cfg_for("db4", levels=3))
 
+    @pytest.mark.parametrize("name", ["haar", "db4"])
+    def test_max_level_always_decomposes(self, name):
+        # each level keeps at least half its input, so the max_level depth
+        # never meets an approximation shorter than the filter
+        filt = wv.get_filter(name)
+        for n in range(len(filt), 2049):
+            coeffs = wv.dwt(np.ones(n), cfg_for(name, levels=wv.max_level(n, filt)))
+            assert coeffs.lengths[-1] >= len(filt), n
+
     def test_shorter_than_filter_rejected(self):
         with pytest.raises(DataError, match="shorter than"):
             wv.dwt(np.ones(4), cfg_for("db4"))
@@ -165,21 +174,6 @@ class TestPerturb:
         coeffs = wv.dwt(x, cfg)
         shaken = wv.perturb(coeffs, cfg, Rng(1))
         npt.assert_array_equal(shaken.approx, coeffs.approx)
-
-    def test_level_selection(self):
-        x = Rng(8).normal_array(64)
-        cfg = cfg_for("haar", levels=3, factor_range=(2.0, 2.0), perturb_levels=(2,))
-        coeffs = wv.dwt(x, cfg)
-        shaken = wv.perturb(coeffs, cfg, Rng(2))
-        npt.assert_array_equal(shaken.details[0], coeffs.details[0])
-        npt.assert_allclose(shaken.details[1], 2.0 * coeffs.details[1], atol=1e-15)
-        npt.assert_array_equal(shaken.details[2], coeffs.details[2])
-
-    def test_bad_level_selection_rejected(self):
-        cfg = cfg_for("haar", levels=2, perturb_levels=(3,))
-        coeffs = wv.dwt(np.ones(16), cfg)
-        with pytest.raises(ValueError, match="outside decomposition range"):
-            wv.perturb(coeffs, cfg, Rng(0))
 
     def test_per_band_uses_one_factor(self):
         x = Rng(9).normal_array(64)
