@@ -121,25 +121,36 @@ def scalar_gap_fill(path, times, values, step):
     return np.array(filled), warnings
 
 
-def random_gap_csv(path, seed, bad_gaps=0):
-    """A seeded CSV with random gaps of 1-12 intervals (and ``bad_gaps``
-    gaps that are not a whole number of them); returns times and values."""
+def random_gap_csv(path, seed, bad_gaps=0, step=300.0):
+    """A seeded CSV on a grid of ``step`` seconds with random gaps of 1-12
+    steps (and ``bad_gaps`` gaps that are not a whole number of them);
+    returns the times the file holds and the values.  Integral times are
+    written as epoch seconds, others as ISO-8601 with microseconds."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 400))
-    gaps = np.where(rng.random(n - 1) < 0.8, 1, rng.integers(1, 13, n - 1)) * 300
+    # gaps in ticks of step/300, so bad gaps of 1.5, 3.5 and 1 +- 1/300 steps are integers
+    ticks = np.where(rng.random(n - 1) < 0.8, 1, rng.integers(1, 13, n - 1)) * 300
     for k in rng.integers(0, n - 1, bad_gaps):
-        gaps[k] = int(rng.choice([450, 1050, 301, 299]))
-    times = np.concatenate([[0], np.cumsum(gaps)]).tolist()
+        ticks[k] = int(rng.choice([450, 1050, 301, 299]))
+    exact = (np.concatenate([[0], np.cumsum(ticks)]) * step / 300).tolist()
+    if all(t.is_integer() for t in exact):
+        stamps = [str(int(t)) for t in exact]
+        times = [float(int(t)) for t in exact]
+    else:
+        stamps = [datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+                  for t in exact]
+        times = [datetime.fromisoformat(s.replace("Z", "+00:00")).timestamp() for s in stamps]
     values = (rng.random(n) * 10.0 ** rng.integers(0, 10, n)).tolist()
-    write_lines(path, ["timestamp,bps"] + [f"{t},{v!r}" for t, v in zip(times, values)])
-    return [float(t) for t in times], values
+    write_lines(path, ["timestamp,bps"] + [f"{t},{v!r}" for t, v in zip(stamps, values)])
+    return times, values
 
 
 class TestGapFillMatchesScalarLoop:
     @pytest.mark.parametrize("seed", range(12))
-    def test_bitwise_equal_on_random_gaps(self, tmp_path, seed):
+    @pytest.mark.parametrize("step", [300.0, 150.0, 100.0, 0.5])
+    def test_bitwise_equal_on_random_gaps(self, tmp_path, seed, step):
         path = tmp_path / "gaps.csv"
-        times, values = random_gap_csv(path, seed)
+        times, values = random_gap_csv(path, seed, step=step)
         step = float(np.diff(times).min())
         expected, expected_warnings = scalar_gap_fill(path, times, values, step)
         series, warnings = ds.load_csv(path)
@@ -147,9 +158,10 @@ class TestGapFillMatchesScalarLoop:
         npt.assert_array_equal(series.values.view(np.int64), expected.view(np.int64))
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_first_bad_gap_reported_like_scalar_loop(self, tmp_path, seed):
+    @pytest.mark.parametrize("step", [300.0, 0.5])
+    def test_first_bad_gap_reported_like_scalar_loop(self, tmp_path, seed, step):
         path = tmp_path / "gaps.csv"
-        times, values = random_gap_csv(path, seed, bad_gaps=3)
+        times, values = random_gap_csv(path, seed, bad_gaps=3, step=step)
         step = float(np.diff(times).min())
         with pytest.raises(DataError) as expected:
             scalar_gap_fill(path, times, values, step)
