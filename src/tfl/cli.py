@@ -4,8 +4,11 @@ evaluate / report.
 Every option can come from a key=value config file (``--config``); explicit
 flags override the file, which overrides built-in defaults.  The fully
 resolved configuration is echoed into the output directory so any run can
-be reproduced with ``--config <echo file>``.  ``TFL_SEED`` serves as the
-seed fallback when neither flag nor file provides one.
+be reproduced with ``--config <echo file>``.
+
+``train`` and ``transfer`` share one run path: window the chronological
+train side of ``--data`` (scaled by a fit on that side alone), train, save
+the model, and write the history and config echo into the run directory.
 
 Exit codes: 0 ok, 1 usage or config contradiction, 2 data error,
 3 numeric failure.
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,8 +105,6 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
             resolved[opt.name] = flag_value
         elif opt.name in file_values:
             resolved[opt.name] = opt.typ(file_values[opt.name])
-        elif opt.name == "seed" and "TFL_SEED" in os.environ:
-            resolved[opt.name] = int(os.environ["TFL_SEED"])
         else:
             resolved[opt.name] = opt.default
     return resolved
@@ -137,7 +137,7 @@ _MODEL_OPTS = [
 
 _TRAIN_COMMON = [
     Opt("batch", int, 32, "minibatch size"),
-    Opt("seed", int, 42, "run seed (TFL_SEED env is the fallback)"),
+    Opt("seed", int, 42, "run seed"),
     Opt("split", float, 0.8, "chronological train fraction"),
     Opt("delta", float, 1.0, "Huber transition point"),
 ]
@@ -158,14 +158,18 @@ STATS_OPTS = [
     Opt("out", str, None, "optional stats CSV"),
 ]
 
-AUGMENT_OPTS = [
-    Opt("data", str, None, "input CSV"),
-    Opt("out_dir", str, None, "directory for augmented copies"),
-    Opt("copies", int, 3, "number of perturbed variants"),
+_WAVELET_OPTS = [
     Opt("wavelet", str, "db4", "filter: haar or db4"),
     Opt("levels", int, 3, "decomposition depth"),
     Opt("factor_lo", float, 0.5, "low end of the perturbation range"),
     Opt("factor_hi", float, 1.5, "high end of the perturbation range"),
+]
+
+AUGMENT_OPTS = [
+    Opt("data", str, None, "input CSV"),
+    Opt("out_dir", str, None, "directory for augmented copies"),
+    Opt("copies", int, 3, "number of perturbed variants"),
+    *_WAVELET_OPTS,
     Opt("per_band", _bool, False, "one factor per band instead of per coefficient"),
     Opt("seed", int, 42, "perturbation seed"),
 ]
@@ -178,7 +182,7 @@ TRAIN_OPTS = _MODEL_OPTS + _TRAIN_COMMON + [
     Opt("lr", float, 0.001, "Adam learning rate"),
 ]
 
-TRANSFER_OPTS = _TRAIN_COMMON + [
+TRANSFER_OPTS = _TRAIN_COMMON + _WAVELET_OPTS + [
     Opt("source_model", str, None, "trained source-domain model file"),
     Opt("data", str, None, "target-domain CSV"),
     Opt("out", str, None, "adapted model file to write"),
@@ -188,10 +192,6 @@ TRANSFER_OPTS = _TRAIN_COMMON + [
     Opt("phase2_lr", float, training.DEFAULT_PHASE2_LR, "fine-tune phase rate"),
     Opt("phase2_epochs", int, 50, "fine-tune phase epochs"),
     Opt("augment_copies", int, 0, "expand the target training series with N wavelet variants"),
-    Opt("wavelet", str, "db4", "augmentation filter"),
-    Opt("levels", int, 3, "augmentation decomposition depth"),
-    Opt("factor_lo", float, 0.5, "low end of the perturbation range"),
-    Opt("factor_hi", float, 1.5, "high end of the perturbation range"),
 ]
 
 EVALUATE_OPTS = [
@@ -217,8 +217,8 @@ def _load_series(path) -> ds.TimeSeries:
     return series
 
 
-def _windows_for(series_values, scaler, n_past, n_future) -> ds.WindowedDataset:
-    return ds.make_windows(ds.scale(series_values, scaler), n_past, n_future)
+def _windows_for(values, scaler, mc: network.ModelConfig) -> ds.WindowedDataset:
+    return ds.make_windows(ds.scale(values, scaler), mc.n_past, mc.n_future)
 
 
 def cmd_synth(cfg: dict) -> int:
@@ -285,44 +285,54 @@ def cmd_augment(cfg: dict) -> int:
     return 0
 
 
-def _write_history(path: Path, rows: list[tuple]) -> None:
-    with open(path, "w") as fh:
+def _training_windows(cfg: dict, mc: network.ModelConfig) -> tuple[ds.ScalerParams, ds.WindowedDataset]:
+    """The scaler fitted on the chronological train side of ``--data``, and
+    the windows of that side plus those of its ``augment_copies`` wavelet
+    variants, if any."""
+    series = _load_series(cfg["data"])
+    train_series, _ = ds.split(series, cfg["split"], min_points=mc.n_past + mc.n_future)
+    scaler = ds.fit_scaler(train_series.values)
+    copies = cfg.get("augment_copies", 0)
+    if copies <= 0:
+        return scaler, _windows_for(train_series.values, scaler, mc)
+    corpus = wavelet.expand_dataset(train_series, _augment_config(cfg), copies)
+    return scaler, ds.concat_windows([_windows_for(e.series.values, scaler, mc) for e in corpus])
+
+
+def _write_run(cfg: dict, command: str, history_name: str, model: network.Seq2SeqModel,
+               scaler: ds.ScalerParams, provenance: dict, logs: list[training.PhaseLog]) -> Path:
+    """Save the model with its provenance (plus seed, split and data hash),
+    then write the per-epoch history and the config echo into the run
+    directory (``--out-dir``, else the model's).  Returns the model path."""
+    out = Path(cfg["out"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    provenance.update(seed=cfg["seed"], split=cfg["split"],
+                      data_sha256=model_io.file_sha256(cfg["data"]))
+    model_io.save_model(model, scaler, provenance, out)
+    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else out.parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / history_name, "w") as fh:
         fh.write("phase,epoch,lr,loss\n")
-        for phase, epoch, lr, loss in rows:
-            fh.write(f"{phase},{epoch},{repr(lr)},{_FMT % loss}\n")
+        for log in logs:
+            for epoch, loss in enumerate(log.history, start=1):
+                fh.write(f"{log.name},{epoch},{repr(log.lr)},{_FMT % loss}\n")
+    write_config_echo(cfg, out_dir / f"{command}_config.txt")
+    return out
 
 
 def cmd_train(cfg: dict) -> int:
     _require(cfg, "data", "out")
-    series = _load_series(cfg["data"])
-    mc = network.ModelConfig(
-        n_past=cfg["n_past"], n_future=cfg["n_future"],
-        hidden=cfg["hidden"], attention=cfg["attention"],
-    )
-    min_points = mc.n_past + mc.n_future
-    train_series, _ = ds.split(series, cfg["split"], min_points=min_points)
-    scaler = ds.fit_scaler(train_series.values)
-    windows = _windows_for(train_series.values, scaler, mc.n_past, mc.n_future)
-
+    mc = network.ModelConfig(n_past=cfg["n_past"], n_future=cfg["n_future"],
+                             hidden=cfg["hidden"], attention=cfg["attention"])
+    scaler, windows = _training_windows(cfg, mc)
     model = network.init(mc, Rng(cfg["seed"]))
     tc = training.TrainConfig(epochs=cfg["epochs"], batch=cfg["batch"],
                               lr=cfg["lr"], seed=cfg["seed"])
     model, history = training.train(model, windows, tc, cfg["delta"])
-
-    out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    provenance = {
-        "seed": cfg["seed"], "epochs": cfg["epochs"], "lr": cfg["lr"],
-        "batch": cfg["batch"], "split": cfg["split"],
-        "data_sha256": model_io.file_sha256(cfg["data"]),
-        "parent_sha256": None,
-    }
-    model_io.save_model(model, scaler, provenance, out)
-    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else out.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_history(out_dir / "loss_history.csv",
-                   [("train", e + 1, cfg["lr"], v) for e, v in enumerate(history)])
-    write_config_echo(cfg, out_dir / "train_config.txt")
+    provenance = {"epochs": cfg["epochs"], "lr": cfg["lr"], "batch": cfg["batch"],
+                  "parent_sha256": None}
+    out = _write_run(cfg, "train", "loss_history.csv", model, scaler, provenance,
+                     [training.PhaseLog("train", cfg["lr"], history)])
     print(f"trained {cfg['epochs']} epochs; final loss {history[-1]:.6g}; model at {out}")
     return 0
 
@@ -330,49 +340,18 @@ def cmd_train(cfg: dict) -> int:
 def cmd_transfer(cfg: dict) -> int:
     _require(cfg, "source_model", "data", "out")
     source, _, _ = model_io.load_model(cfg["source_model"])
-    mc = source.config
-    series = _load_series(cfg["data"])
-    min_points = mc.n_past + mc.n_future
-    train_series, _ = ds.split(series, cfg["split"], min_points=min_points)
-    scaler = ds.fit_scaler(train_series.values)
-
-    if cfg["augment_copies"] > 0:
-        acfg = _augment_config(cfg)
-        corpus = wavelet.expand_dataset(train_series, acfg, cfg["augment_copies"])
-        windows = ds.concat_windows([
-            _windows_for(entry.series.values, scaler, mc.n_past, mc.n_future)
-            for entry in corpus
-        ])
-    else:
-        windows = _windows_for(train_series.values, scaler, mc.n_past, mc.n_future)
-
-    cfg1 = training.TrainConfig(epochs=cfg["phase1_epochs"], batch=cfg["batch"],
-                                lr=cfg["phase1_lr"], seed=cfg["seed"])
-    cfg2 = training.TrainConfig(epochs=cfg["phase2_epochs"], batch=cfg["batch"],
-                                lr=cfg["phase2_lr"], seed=cfg["seed"])
-    result = training.transfer(source, windows, cfg1, cfg2, cfg["delta"])
-
-    out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
+    scaler, windows = _training_windows(cfg, source.config)
+    phases = [(cfg["phase1_epochs"], cfg["phase1_lr"]), (cfg["phase2_epochs"], cfg["phase2_lr"])]
+    model, logs = training.transfer(source, windows, phases, cfg["batch"], cfg["seed"], cfg["delta"])
     provenance = {
-        "seed": cfg["seed"],
         "epochs": cfg["phase1_epochs"] + cfg["phase2_epochs"],
-        "phase_lrs": [cfg["phase1_lr"], cfg["phase2_lr"]],
+        "phase_lrs": [log.lr for log in logs],
         "augment_copies": cfg["augment_copies"],
-        "split": cfg["split"],
-        "data_sha256": model_io.file_sha256(cfg["data"]),
         "parent_sha256": model_io.file_sha256(cfg["source_model"]),
     }
-    model_io.save_model(result.model, scaler, provenance, out)
-    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else out.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for phase in result.phases:
-        rows.extend((phase.name, e + 1, phase.lr, v) for e, v in enumerate(phase.history))
-    _write_history(out_dir / "transfer_history.csv", rows)
-    write_config_echo(cfg, out_dir / "transfer_config.txt")
+    out = _write_run(cfg, "transfer", "transfer_history.csv", model, scaler, provenance, logs)
     print(f"adapted model at {out} "
-          f"(phases: {', '.join(f'{p.name}@{p.lr}' for p in result.phases)})")
+          f"(phases: {', '.join(f'{log.name}@{log.lr}' for log in logs)})")
     return 0
 
 
@@ -382,7 +361,7 @@ def _evaluate_one(model_path: str, model: network.Seq2SeqModel, scaler: ds.Scale
         raise DataError(f"{model_path}: model file carries no scaler; cannot evaluate")
     mc = model.config
     _, test_series = ds.split(series, split_ratio, min_points=mc.n_past + mc.n_future)
-    test_windows = _windows_for(test_series.values, scaler, mc.n_past, mc.n_future)
+    test_windows = _windows_for(test_series.values, scaler, mc)
     preds_scaled = network.predict_batch(model, test_windows.inputs)
     stem = Path(model_path).stem
     return {

@@ -97,18 +97,23 @@ class WindowedDataset:
         return len(self.inputs)
 
 
-def _parse_timestamp(text: str) -> float:
-    """Epoch seconds from an integer or ISO-8601 string (naive = UTC)."""
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _parse_timestamp(text: str) -> int:
+    """Exact epoch microseconds from integer epoch seconds or an ISO-8601
+    string (naive = UTC)."""
     text = text.strip()
     try:
-        return float(int(text))
+        return int(text) * 1_000_000
     except ValueError:
         pass
     iso = text.replace("Z", "+00:00")
     dt = datetime.fromisoformat(iso)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    return (dt - _EPOCH) // _MICROSECOND
 
 
 def load_csv(path) -> tuple[TimeSeries, int]:
@@ -118,9 +123,11 @@ def load_csv(path) -> tuple[TimeSeries, int]:
     filled by linear interpolation; the returned count is the number of
     interpolated points.  Rows that do not parse, non-monotone timestamps,
     gaps that are not a whole number of steps, and negative values are
-    rejected.
+    rejected.  Timestamps are read as exact microseconds, and each gap is
+    their integer difference in seconds, so a 0.1 s grid is uniform.
     """
-    times: list[float] = []
+    first = last = None  # epoch microseconds
+    gaps: list[float] = []
     values: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -136,20 +143,25 @@ def load_csv(path) -> tuple[TimeSeries, int]:
             try:
                 ts = _parse_timestamp(row[0])
                 val = float(row[1])
+                gap = None if last is None else (ts - last) / 1_000_000
             except (ValueError, OverflowError) as exc:
                 raise DataError(f"{path}: line {lineno}: unparseable row: {exc}") from exc
             if not math.isfinite(val):
                 raise DataError(f"{path}: line {lineno}: non-finite value")
             if val < 0:
                 raise DataError(f"{path}: line {lineno}: negative value {val}")
-            if times and ts <= times[-1]:
+            if gap is None:
+                first = ts
+            elif gap <= 0:
                 raise DataError(f"{path}: line {lineno}: non-monotone timestamp")
-            times.append(ts)
+            else:
+                gaps.append(gap)
+            last = ts
             values.append(val)
-    if len(times) < 2:
-        raise DataError(f"{path}: need at least 2 data rows, got {len(times)}")
+    if len(values) < 2:
+        raise DataError(f"{path}: need at least 2 data rows, got {len(values)}")
 
-    deltas = np.diff(times)
+    deltas = np.array(gaps)
     step = float(deltas.min())
     with np.errstate(over="ignore"):  # an infinite ratio fails the slot total below
         ratio = deltas / step
@@ -170,7 +182,10 @@ def load_csv(path) -> tuple[TimeSeries, int]:
         filled, warnings = _fill_gaps(np.array(values), slots.astype(np.int64))
     except MemoryError:
         raise _unfillable(path, deltas, slots, total) from None
-    start = datetime.fromtimestamp(times[0], tz=timezone.utc)
+    try:
+        start = _EPOCH + first * _MICROSECOND
+    except OverflowError:
+        raise DataError(f"{path}: first timestamp out of range") from None
     return TimeSeries(filled, start=start, interval=step), warnings
 
 

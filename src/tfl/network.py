@@ -135,12 +135,8 @@ def init(config: ModelConfig, rng: Rng) -> Seq2SeqModel:
     model bitwise."""
     encoder = _init_lstm(config.hidden, 1, rng)
     decoder = _init_lstm(config.hidden, config.hidden, rng)
-    width = output_width(config)
-    out_w = _glorot(1, width, rng).reshape(width)
-    return Seq2SeqModel(
-        config=config, encoder=encoder, decoder=decoder,
-        output=DenseParams(w=out_w, b=np.zeros(1)),
-    )
+    return Seq2SeqModel(config=config, encoder=encoder, decoder=decoder,
+                        output=init_output_layer(config, rng))
 
 
 def init_output_layer(config: ModelConfig, rng: Rng) -> DenseParams:
@@ -252,7 +248,6 @@ def _lstm_backward(
 class ForwardCache:
     """Batched forward activations kept for backprop."""
 
-    inputs: np.ndarray        # (B, n_past)
     enc: _SeqCache
     dec: _SeqCache
     preds: np.ndarray         # (B, n_future)
@@ -290,7 +285,7 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
         feats = dec.h
     preds = (feats @ model.output.w).T + model.output.b[0]  # (B, n_future)
     assert_finite(preds, "forward predictions")
-    return ForwardCache(inputs=inputs, enc=enc, dec=dec, preds=preds, attn=attn, ctx=ctx)
+    return ForwardCache(enc=enc, dec=dec, preds=preds, attn=attn, ctx=ctx)
 
 
 def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray) -> dict[str, np.ndarray]:

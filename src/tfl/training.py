@@ -13,8 +13,8 @@ coupled to the learning rate.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,60 +179,48 @@ def train(
 
 @dataclass
 class PhaseLog:
-    """What one transfer phase did: its rate, epochs, and loss path."""
+    """What one training phase did: its name, rate and per-epoch loss."""
 
     name: str
     lr: float
-    epochs: int
-    history: list[float] = field(default_factory=list)
-
-
-@dataclass
-class TransferResult:
-    model: Seq2SeqModel
-    phases: list[PhaseLog]
+    history: list[float]
 
 
 def transfer(
     source: Seq2SeqModel,
-    target_data: WindowedDataset,
-    cfg1: TrainConfig,
-    cfg2: TrainConfig,
+    data: WindowedDataset,
+    phases: Sequence[tuple[int, float]],
+    batch: int,
+    seed: int,
     delta: float = 1.0,
-) -> TransferResult:
-    """Adapt a source-domain model to target windows in two phases.
+) -> tuple[Seq2SeqModel, list[PhaseLog]]:
+    """Adapt a source-domain model to target windows in two phases; returns
+    (model, one log per phase).
 
-    The output layer is replaced (Glorot, seeded by cfg1.seed); phase 1
-    trains only it at cfg1.lr, phase 2 fine-tunes everything at cfg2.lr.
-    A phase with 0 epochs is skipped.
+    ``phases`` gives (epochs, lr) for phase 1 and phase 2, which share
+    ``batch`` and ``seed``; both are checked before either trains.  The
+    output layer is replaced (Glorot, seeded by ``seed``); phase 1 trains
+    only it, phase 2 fine-tunes every block.  A phase with 0 epochs is
+    skipped and logs no loss.
     """
+    cfg1, cfg2 = (TrainConfig(epochs=epochs, batch=batch, lr=lr, seed=seed)
+                  for epochs, lr in phases)
     mc = source.config
-    mismatches = []
-    if target_data.n_past != mc.n_past:
-        mismatches.append(f"n_past: model {mc.n_past} vs data {target_data.n_past}")
-    if target_data.n_future != mc.n_future:
-        mismatches.append(f"n_future: model {mc.n_future} vs data {target_data.n_future}")
+    mismatches = [f"{name}: model {getattr(mc, name)} vs data {getattr(data, name)}"
+                  for name in ("n_past", "n_future") if getattr(mc, name) != getattr(data, name)]
     if mismatches:
         raise ValueError("transfer config mismatch: " + "; ".join(mismatches))
 
     model = copy_model(source)
-    model.output = init_output_layer(mc, Rng(cfg1.seed))
-    phases = []
-
-    if cfg1.epochs > 0:
-        head = [name for name, _ in param_items(model) if name.startswith("out.")]
-        model, hist1 = train(model, target_data, cfg1, delta, head)
-    else:
-        hist1 = []
-    phases.append(PhaseLog(name="freeze-body", lr=cfg1.lr, epochs=cfg1.epochs, history=hist1))
-
-    if cfg2.epochs > 0:
-        model, hist2 = train(model, target_data, cfg2, delta)
-    else:
-        hist2 = []
-    phases.append(PhaseLog(name="fine-tune", lr=cfg2.lr, epochs=cfg2.epochs, history=hist2))
-
-    return TransferResult(model=model, phases=phases)
+    model.output = init_output_layer(mc, Rng(seed))
+    head = [name for name, _ in param_items(model) if name.startswith("out.")]
+    logs = []
+    for name, cfg, trainable in (("freeze-body", cfg1, head), ("fine-tune", cfg2, None)):
+        history = []
+        if cfg.epochs > 0:
+            model, history = train(model, data, cfg, delta, trainable)
+        logs.append(PhaseLog(name, cfg.lr, history))
+    return model, logs
 
 
 def gradient_check(

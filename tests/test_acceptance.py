@@ -105,13 +105,9 @@ def test_criterion_5_freeze_invariance():
     with criterion(5, "phase-1 transfer leaves encoder/decoder bitwise unchanged"):
         source = net.init(net.ModelConfig(8, 3, 10, False), Rng(21))
         data = ds.make_windows(Rng(22).uniform_array(80, 0, 1), 8, 3)
-        result = tr.transfer(
-            source, data,
-            tr.TrainConfig(epochs=4, batch=16, lr=0.001, seed=23),
-            tr.TrainConfig(epochs=0, batch=16, lr=0.0001, seed=23),
-        )
+        model, _ = tr.transfer(source, data, [(4, 0.001), (0, 0.0001)], batch=16, seed=23)
         src = dict(net.param_items(source))
-        for name, arr in net.param_items(result.model):
+        for name, arr in net.param_items(model):
             if name.startswith(("enc.", "dec.")):
                 npt.assert_array_equal(arr, src[name], err_msg=name)
 
@@ -200,15 +196,12 @@ def test_criterion_8_transfer_and_augmentation_direction():
             assert_progress(scratch_hist)
             scratch_w.append(test_wape(scratch))
 
-            result = tr.transfer(
-                source, w_tr,
-                tr.TrainConfig(epochs=15, batch=32, lr=0.001, seed=seed),
-                tr.TrainConfig(epochs=15, batch=32, lr=0.0001, seed=seed),
-            )
-            assert [p.lr for p in result.phases] == [0.001, 0.0001]
-            for phase in result.phases:
+            adapted, phases = tr.transfer(source, w_tr, [(15, 0.001), (15, 0.0001)],
+                                          batch=32, seed=seed)
+            assert [p.lr for p in phases] == [0.001, 0.0001]
+            for phase in phases:
                 assert_progress(phase.history)
-            transfer_w.append(test_wape(result.model))
+            transfer_w.append(test_wape(adapted))
 
             acfg = wv.AugmentConfig(filter=wv.DB4, levels=3,
                                     factor_range=(0.5, 1.5), seed=seed)
@@ -218,14 +211,11 @@ def test_criterion_8_transfer_and_augmentation_direction():
                                 N_PAST, N_FUTURE)
                 for entry in corpus
             ])
-            result_aug = tr.transfer(
-                source, w_aug,
-                tr.TrainConfig(epochs=8, batch=32, lr=0.001, seed=seed),
-                tr.TrainConfig(epochs=8, batch=32, lr=0.0001, seed=seed),
-            )
-            for phase in result_aug.phases:
+            adapted_aug, phases_aug = tr.transfer(source, w_aug, [(8, 0.001), (8, 0.0001)],
+                                                  batch=32, seed=seed)
+            for phase in phases_aug:
                 assert_progress(phase.history)
-            augmented_w.append(test_wape(result_aug.model))
+            augmented_w.append(test_wape(adapted_aug))
 
         scratch_avg = float(np.mean(scratch_w))
         transfer_avg = float(np.mean(transfer_w))

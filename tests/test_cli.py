@@ -145,16 +145,6 @@ class TestTrainEvaluate:
         ):
             np.testing.assert_array_equal(pa, pb, err_msg=name)
 
-    def test_seed_env_fallback(self, tmp_path, series_csv, monkeypatch):
-        monkeypatch.setenv("TFL_SEED", "123")
-        model_path = tmp_path / "m.tfl"
-        args = [a for a in train_args(series_csv, model_path)]
-        k = args.index("--seed")
-        del args[k : k + 2]
-        assert main(args) == 0
-        _, _, provenance = mio.load_model(model_path)
-        assert provenance["seed"] == 123
-
     def test_scaler_never_sees_test_values(self, tmp_path, series_csv, monkeypatch):
         # instrument the fit: it must only receive the chronological train side
         from tfl import cli as cli_mod
@@ -204,6 +194,50 @@ class TestTransferCli:
                      "--batch", "16", "--seed", "5"]) == 0
         _, _, provenance = mio.load_model(adapted)
         assert provenance["augment_copies"] == 2
+
+
+    def test_rerun_from_echoed_config_is_byte_identical(self, tmp_path, series_csv):
+        source = tmp_path / "src.tfl"
+        assert main(train_args(series_csv, source)) == 0
+        first = tmp_path / "one" / "adapted.tfl"
+        assert main(["transfer", "--source-model", str(source), "--data", str(series_csv),
+                     "--out", str(first), "--phase1-epochs", "1", "--phase2-epochs", "1",
+                     "--augment-copies", "1", "--wavelet", "haar", "--levels", "2",
+                     "--batch", "16", "--seed", "5"]) == 0
+        second = tmp_path / "two" / "adapted.tfl"
+        assert main(["transfer", "--config", str(first.parent / "transfer_config.txt"),
+                     "--out", str(second)]) == 0
+        assert second.read_bytes() == first.read_bytes()
+        history = "transfer_history.csv"
+        assert (second.parent / history).read_bytes() == (first.parent / history).read_bytes()
+
+    def test_both_phases_skipped_write_header_only_history(self, tmp_path, series_csv):
+        source = tmp_path / "src.tfl"
+        assert main(train_args(series_csv, source)) == 0
+        adapted = tmp_path / "run" / "adapted.tfl"
+        assert main(["transfer", "--source-model", str(source), "--data", str(series_csv),
+                     "--out", str(adapted), "--phase1-epochs", "0", "--phase2-epochs", "0"]) == 0
+        assert (adapted.parent / "transfer_history.csv").read_text() == "phase,epoch,lr,loss\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--phase1-epochs", "-1", "epochs must be >= 0, got -1"),
+        ("--phase2-epochs", "-1", "epochs must be >= 0, got -1"),
+        ("--batch", "0", "batch must be >= 1, got 0"),
+    ])
+    def test_bad_phase_setting_fails_before_training(self, tmp_path, series_csv, capsys,
+                                                      monkeypatch, flag, value, message):
+        from tfl import training
+
+        source = tmp_path / "src.tfl"
+        assert main(train_args(series_csv, source)) == 0
+        capsys.readouterr()
+        trained = []
+        monkeypatch.setattr(training, "train", lambda *a, **k: trained.append(a))
+        adapted = tmp_path / "run" / "adapted.tfl"
+        assert main(["transfer", "--source-model", str(source), "--data", str(series_csv),
+                     "--out", str(adapted), flag, value]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+        assert trained == [] and not adapted.parent.exists()
 
 
 class TestReportCli:

@@ -1,4 +1,4 @@
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 from tfl import dataset as ds
 from tfl.cli import main
 from tfl.errors import DataError
+
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
 
 
 def write_lines(path, rows):
@@ -59,6 +63,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3"):
             ds.load_csv(path)
 
+    @pytest.mark.parametrize("stamps, message", [
+        # past datetime's year 9999
+        (["1000000000000000", "1000000000000300"], "first timestamp out of range"),
+        # a gap beyond float range
+        (["0", "1" + "0" * 310], "line 3: unparseable row"),
+    ])
+    def test_out_of_range_timestamp_is_data_error(self, tmp_path, capsys, stamps, message):
+        path = write_lines(tmp_path / "series.csv", ["timestamp,bps"] + [f"{t},1.0" for t in stamps])
+        with pytest.raises(DataError, match=message):
+            ds.load_csv(path)
+        assert main(["stats", "--data", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:"), err
+
     def test_non_monotone_rejected(self, tmp_path):
         path = write_lines(tmp_path / "series.csv", [
             "timestamp,bps", "600,10.0", "300,20.0",
@@ -95,6 +113,20 @@ class TestLoadCsv:
         npt.assert_array_equal(loaded.values, values)
         assert (loaded.start, loaded.interval) == (original.start, original.interval)
 
+    def test_tenth_second_grid_loads_uniform_and_rewrites_byte_for_byte(self, tmp_path):
+        # 0.1 s is not a binary fraction: float epoch seconds near 1.7e9 made
+        # these gaps unequal by more than the whole-step tolerance
+        start = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        text = "timestamp,bps\r\n" + "".join(
+            f"{start + timedelta(microseconds=100_000 * k):%Y-%m-%dT%H:%M:%S.%fZ},{k + 0.5!r}\r\n"
+            for k in range(20000))
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        series, warnings = ds.load_csv(path)
+        assert (series.interval, warnings, len(series)) == (0.1, 0, 20000)
+        ds.write_csv(series, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == text.encode()
+
     def test_whole_second_csv_rewritten_byte_for_byte(self, tmp_path):
         text = "timestamp,bps\r\n" + "".join(
             f"2024-03-10T0{h}:{m}0:00Z,{100.0 * h + m + 0.25!r}\r\n" for h in range(3) for m in range(6))
@@ -104,11 +136,11 @@ class TestLoadCsv:
         assert (tmp_path / "out.csv").read_bytes() == text.encode()
 
 
-def scalar_gap_fill(path, times, values, step):
+def scalar_gap_fill(path, gaps, values, step):
     """Per-row gap fill, one interpolated slot at a time: the oracle for the
     vectorised fill in load_csv."""
     filled, warnings = [values[0]], 0
-    for k, delta in enumerate(np.diff(times)):
+    for k, delta in enumerate(gaps):
         m = delta / step
         m_int = round(m)
         if m_int < 1 or abs(m - m_int) > 1e-6:
@@ -124,8 +156,9 @@ def scalar_gap_fill(path, times, values, step):
 def random_gap_csv(path, seed, bad_gaps=0, step=300.0):
     """A seeded CSV on a grid of ``step`` seconds with random gaps of 1-12
     steps (and ``bad_gaps`` gaps that are not a whole number of them);
-    returns the times the file holds and the values.  Integral times are
-    written as epoch seconds, others as ISO-8601 with microseconds."""
+    returns the gaps in seconds between the times the file holds, from
+    their exact microseconds, and the values.  Integral times are written
+    as epoch seconds, others as ISO-8601 with microseconds."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 400))
     # gaps in ticks of step/300, so bad gaps of 1.5, 3.5 and 1 +- 1/300 steps are integers
@@ -135,14 +168,15 @@ def random_gap_csv(path, seed, bad_gaps=0, step=300.0):
     exact = (np.concatenate([[0], np.cumsum(ticks)]) * step / 300).tolist()
     if all(t.is_integer() for t in exact):
         stamps = [str(int(t)) for t in exact]
-        times = [float(int(t)) for t in exact]
+        micros = [int(t) * 10 ** 6 for t in exact]
     else:
         stamps = [datetime.fromtimestamp(t, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
                   for t in exact]
-        times = [datetime.fromisoformat(s.replace("Z", "+00:00")).timestamp() for s in stamps]
+        micros = [(datetime.fromisoformat(s.replace("Z", "+00:00")) - EPOCH) // MICROSECOND
+                  for s in stamps]
     values = (rng.random(n) * 10.0 ** rng.integers(0, 10, n)).tolist()
     write_lines(path, ["timestamp,bps"] + [f"{t},{v!r}" for t, v in zip(stamps, values)])
-    return times, values
+    return np.diff(micros) / 1e6, values
 
 
 class TestGapFillMatchesScalarLoop:
@@ -150,9 +184,9 @@ class TestGapFillMatchesScalarLoop:
     @pytest.mark.parametrize("step", [300.0, 150.0, 100.0, 0.5])
     def test_bitwise_equal_on_random_gaps(self, tmp_path, seed, step):
         path = tmp_path / "gaps.csv"
-        times, values = random_gap_csv(path, seed, step=step)
-        step = float(np.diff(times).min())
-        expected, expected_warnings = scalar_gap_fill(path, times, values, step)
+        gaps, values = random_gap_csv(path, seed, step=step)
+        step = float(gaps.min())
+        expected, expected_warnings = scalar_gap_fill(path, gaps, values, step)
         series, warnings = ds.load_csv(path)
         assert warnings == expected_warnings
         npt.assert_array_equal(series.values.view(np.int64), expected.view(np.int64))
@@ -161,10 +195,10 @@ class TestGapFillMatchesScalarLoop:
     @pytest.mark.parametrize("step", [300.0, 0.5])
     def test_first_bad_gap_reported_like_scalar_loop(self, tmp_path, seed, step):
         path = tmp_path / "gaps.csv"
-        times, values = random_gap_csv(path, seed, bad_gaps=3, step=step)
-        step = float(np.diff(times).min())
+        gaps, values = random_gap_csv(path, seed, bad_gaps=3, step=step)
+        step = float(gaps.min())
         with pytest.raises(DataError) as expected:
-            scalar_gap_fill(path, times, values, step)
+            scalar_gap_fill(path, gaps, values, step)
         with pytest.raises(DataError) as got:
             ds.load_csv(path)
         assert str(got.value) == str(expected.value)

@@ -191,10 +191,8 @@ class TestTransfer:
         self.data = make_windows(Rng(2).uniform_array(60, 0, 1), 8, 3)
 
     def test_phase1_freezes_body(self):
-        cfg1 = tr.TrainConfig(epochs=3, batch=8, lr=0.001, seed=7)
-        cfg2 = tr.TrainConfig(epochs=0, batch=8, lr=0.0001, seed=7)
-        result = tr.transfer(self.source, self.data, cfg1, cfg2)
-        for name, arr in net.param_items(result.model):
+        model, _ = tr.transfer(self.source, self.data, [(3, 0.001), (0, 0.0001)], batch=8, seed=7)
+        for name, arr in net.param_items(model):
             src = dict(net.param_items(self.source))[name]
             if name.startswith("out."):
                 assert not np.array_equal(arr, src), name
@@ -202,33 +200,27 @@ class TestTransfer:
                 npt.assert_array_equal(arr, src, err_msg=name)
 
     def test_skipped_phase2_changes_only_output(self):
-        cfg1 = tr.TrainConfig(epochs=2, batch=8, lr=0.001, seed=7)
-        cfg2 = tr.TrainConfig(epochs=0, batch=8, lr=0.0001, seed=7)
-        result = tr.transfer(self.source, self.data, cfg1, cfg2)
-        assert result.phases[1].history == []
-        for name, arr in net.param_items(result.model):
+        model, phases = tr.transfer(self.source, self.data, [(2, 0.001), (0, 0.0001)], batch=8, seed=7)
+        assert phases[1].history == []
+        for name, arr in net.param_items(model):
             if not name.startswith("out."):
                 npt.assert_array_equal(arr, dict(net.param_items(self.source))[name])
 
     def test_phase_order_and_rates_recorded(self):
-        cfg1 = tr.TrainConfig(epochs=1, batch=8, lr=0.001, seed=7)
-        cfg2 = tr.TrainConfig(epochs=1, batch=8, lr=0.0001, seed=7)
-        result = tr.transfer(self.source, self.data, cfg1, cfg2)
-        assert [p.lr for p in result.phases] == [0.001, 0.0001]
-        assert [p.name for p in result.phases] == ["freeze-body", "fine-tune"]
+        _, phases = tr.transfer(self.source, self.data, [(1, 0.001), (1, 0.0001)], batch=8, seed=7)
+        assert [p.lr for p in phases] == [0.001, 0.0001]
+        assert [p.name for p in phases] == ["freeze-body", "fine-tune"]
 
     def test_config_mismatch_reports_fields(self):
         bad = make_windows(Rng(2).uniform_array(60, 0, 1), 6, 4)
         with pytest.raises(ValueError) as err:
-            tr.transfer(self.source, bad, tr.TrainConfig(epochs=1), tr.TrainConfig(epochs=1))
+            tr.transfer(self.source, bad, [(1, 0.001), (1, 0.001)], batch=32, seed=0)
         assert "n_past" in str(err.value) and "n_future" in str(err.value)
 
     def test_phase2_updates_body(self):
-        cfg1 = tr.TrainConfig(epochs=1, batch=8, lr=0.001, seed=7)
-        cfg2 = tr.TrainConfig(epochs=1, batch=8, lr=0.0001, seed=7)
-        result = tr.transfer(self.source, self.data, cfg1, cfg2)
+        model, _ = tr.transfer(self.source, self.data, [(1, 0.001), (1, 0.0001)], batch=8, seed=7)
         src = dict(net.param_items(self.source))
-        changed = [name for name, arr in net.param_items(result.model)
+        changed = [name for name, arr in net.param_items(model)
                    if not name.startswith("out.") and not np.array_equal(arr, src[name])]
         assert changed  # fine-tune touched the body
 
