@@ -98,6 +98,9 @@ def write_config_echo(cfg: dict, path: Path) -> None:
 
 def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
     file_values = load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(file_values) - {opt.name for opt in opts})
+    if unknown:
+        raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
     resolved = {}
     for opt in opts:
         flag_value = getattr(args, opt.name)
@@ -289,11 +292,13 @@ def _training_windows(cfg: dict, mc: network.ModelConfig) -> tuple[ds.ScalerPara
     """The scaler fitted on the chronological train side of ``--data``, and
     the windows of that side plus those of its ``augment_copies`` wavelet
     variants, if any."""
+    copies = cfg.get("augment_copies", 0)
+    if copies < 0:
+        raise ValueError(f"augment_copies must be >= 0, got {copies}")
     series = _load_series(cfg["data"])
     train_series, _ = ds.split(series, cfg["split"], min_points=mc.n_past + mc.n_future)
     scaler = ds.fit_scaler(train_series.values)
-    copies = cfg.get("augment_copies", 0)
-    if copies <= 0:
+    if copies == 0:
         return scaler, _windows_for(train_series.values, scaler, mc)
     corpus = wavelet.expand_dataset(train_series, _augment_config(cfg), copies)
     return scaler, ds.concat_windows([_windows_for(e.series.values, scaler, mc) for e in corpus])

@@ -16,6 +16,11 @@ window is a batch of one.  Each LSTM keeps its four gates stacked in one
 weight matrix, so a step is one GEMM (Appleyard, Kocisky & Blunsom 2016,
 arXiv:1604.01946, section 3).  Those stacked arrays are the trainable
 blocks; only the model file splits them per gate.
+
+The decoder's input is h_final at every step, so its input projection
+h_final @ W_x.T + b is formed once per batch as a (batch, 4 hidden) bias
+and a decoder step is only the recurrent GEMM; backward forms W_x's and
+h_final's gradients from the step-summed gate gradients, one GEMM each.
 """
 
 from __future__ import annotations
@@ -57,14 +62,6 @@ class LstmParams:
         rows, cols = self.w.shape
         if rows % len(GATES) or self.b.shape != (rows,) or cols <= rows // len(GATES):
             raise ValueError(f"inconsistent LSTM shapes: W {self.w.shape}, b {self.b.shape}")
-
-    @property
-    def hidden(self) -> int:
-        return self.w.shape[0] // len(GATES)
-
-    @property
-    def input_width(self) -> int:
-        return self.w.shape[1] - self.hidden
 
 
 @dataclass
@@ -161,22 +158,22 @@ class _SeqCache:
     c0: np.ndarray      # (B, hidden)
 
 
-def _run_lstm(params: LstmParams, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray,
-              keep: bool = True) -> _SeqCache:
-    """Run the recurrence over ``xs`` (T, B, input) from (h0, c0).
+def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
+              c0: np.ndarray, keep: bool = True) -> _SeqCache:
+    """Run the recurrence over ``xs`` (T, B, input; input may be 0 wide) from (h0, c0).
 
-    Every step writes into preallocated slots: one gate GEMM, the bias, the
-    candidate's tanh saved aside while one in-place sigmoid covers all 4H
-    columns, then the cell and hidden updates.
+    Every step writes into preallocated slots: one gate GEMM [h_prev, x_t] @ w.T,
+    ``bias`` ((4H,) or (B, 4H)), the candidate's tanh saved aside while one
+    in-place sigmoid covers all 4H columns, then the cell and hidden updates.
     """
     T, B, width = xs.shape
-    hid = params.hidden
+    hid = h0.shape[1]
     slots = T if keep else 1
     cache = _SeqCache(
         z=np.empty((slots, B, hid + width)), gates=np.empty((slots, B, len(GATES) * hid)),
         c=np.empty((T, B, hid)), tanh_c=np.empty((slots, B, hid)), h=np.empty((T, B, hid)), c0=c0,
     )
-    w_t = params.w.T
+    w_t = w.T
     cand = slice(2 * hid, 3 * hid)
     g_act = np.empty((B, hid))
     h, c = h0, c0
@@ -186,7 +183,7 @@ def _run_lstm(params: LstmParams, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray
         z[:, :hid] = h
         z[:, hid:] = xs[t]
         np.matmul(z, w_t, out=act)
-        act += params.b
+        act += bias
         np.tanh(act[:, cand], out=g_act)
         sigmoid(act, out=act)
         act[:, cand] = g_act
@@ -201,23 +198,22 @@ def _run_lstm(params: LstmParams, xs: np.ndarray, h0: np.ndarray, c0: np.ndarray
 
 
 def _lstm_backward(
-    params: LstmParams,
+    w: np.ndarray,
     cache: _SeqCache,
     dh_seq: np.ndarray,
     dh_final: np.ndarray,
     dc_final: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse the recurrence.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reverse the recurrence that ``_run_lstm(w, ...)`` ran.
 
     dh_seq carries external gradients on each h_t; dh_final/dc_final are
-    extra gradients on the last state.  Returns the stacked weight and bias
-    grads, the gradient on the input sequence, and gradients on the
-    initial state.
+    extra gradients on the last state.  Returns the gate preactivation
+    grads (T, B, 4 hidden), which are also the bias grads, the grad of w,
+    and the gradients on the initial state.
     """
-    T, B, _ = dh_seq.shape
-    hid = params.hidden
+    T, B, hid = dh_seq.shape
+    w_h = w[:, :hid]
     dpre_seq = np.empty_like(cache.gates)
-    dx = np.empty((T, B, params.input_width))
     dh_carry = dh_final.copy()
     dc_carry = dc_final.copy()
     for t in reversed(range(T)):
@@ -234,14 +230,10 @@ def _lstm_backward(
             dh * tc * o * (1.0 - o),
         ], axis=1, out=dpre)
         dc_carry = dc * f
-        dz = dpre @ params.w
-        dh_carry = dz[:, :hid]
-        dx[t] = dz[:, hid:]
-    # weight and bias grads sum over every (step, window) row at once
-    dpre_rows = dpre_seq.reshape(T * B, -1)
-    dw = dpre_rows.T @ cache.z.reshape(T * B, -1)
-    db = dpre_rows.sum(axis=0)
-    return dw, db, dx, dh_carry, dc_carry
+        dh_carry = dpre @ w_h
+    # the weight grad sums over every (step, window) row at once
+    dw = dpre_seq.reshape(T * B, -1).T @ cache.z.reshape(T * B, -1)
+    return dpre_seq, dw, dh_carry, dc_carry
 
 
 @dataclass
@@ -271,14 +263,17 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     B = inputs.shape[0]
     hid = cfg.hidden
     xs_enc = inputs.T[:, :, None]  # (T, B, 1)
-    enc = _run_lstm(model.encoder, xs_enc, np.zeros((B, hid)), np.zeros((B, hid)), keep)
+    zero = np.zeros((B, hid))
+    enc = _run_lstm(model.encoder.w, model.encoder.b, xs_enc, zero, zero, keep)
     h_final, c_final = enc.h[-1], enc.c[-1]
-    xs_dec = np.broadcast_to(h_final, (cfg.n_future, B, hid))
-    dec = _run_lstm(model.decoder, xs_dec, h_final, c_final, keep)
+    w_h, w_x = np.hsplit(model.decoder.w, [hid])
+    dec_bias = h_final @ w_x.T + model.decoder.b  # the constant input, projected once
+    dec = _run_lstm(w_h, dec_bias, np.empty((cfg.n_future, B, 0)), h_final, c_final, keep)
     if cfg.attention:
-        scores = np.einsum("sbh,tbh->sbt", dec.h, enc.h)
-        attn = softmax(scores, axis=-1)
-        ctx = np.einsum("sbt,tbh->sbh", attn, enc.h)
+        enc_b = enc.h.transpose(1, 0, 2)  # (B, n_past, hidden): matmul batches over windows
+        scores = np.matmul(dec.h.transpose(1, 0, 2), enc_b.transpose(0, 2, 1))
+        attn = softmax(scores, axis=-1).transpose(1, 0, 2)
+        ctx = np.matmul(attn.transpose(1, 0, 2), enc_b).transpose(1, 0, 2)
         feats = np.concatenate([ctx, dec.h], axis=2)
     else:
         attn = ctx = None
@@ -328,24 +323,26 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
         ddec_seq = dfeats.copy()
 
     zero = np.zeros((B, hid))
-    dec_dw, dec_db, dx_dec, ddec_h0, ddec_c0 = _lstm_backward(
-        model.decoder, cache.dec, ddec_seq, zero, zero
-    )
-    # decoder consumed h_final both as repeated input and as initial hidden state
-    dh_final = dx_dec.sum(axis=0) + ddec_h0
-    dc_final = ddec_c0
-    enc_dw, enc_db, _, _, _ = _lstm_backward(model.encoder, cache.enc, denc_seq, dh_final, dc_final)
+    w_h, w_x = np.hsplit(model.decoder.w, [hid])
+    dec_dpre, dw_h, ddec_h0, ddec_c0 = _lstm_backward(w_h, cache.dec, ddec_seq, zero, zero)
+    # h_final fed every step through the one projection and started the recurrence
+    dpre_sum = dec_dpre.sum(axis=0)  # (B, 4 hidden)
+    dec_dw = np.hstack([dw_h, dpre_sum.T @ cache.enc.h[-1]])
+    dh_final = dpre_sum @ w_x + ddec_h0
+    enc_dpre, enc_dw, _, _ = _lstm_backward(model.encoder.w, cache.enc, denc_seq, dh_final, ddec_c0)
 
-    return {"enc.w": enc_dw, "enc.b": enc_db, "dec.w": dec_dw, "dec.b": dec_db,
+    return {"enc.w": enc_dw, "enc.b": enc_dpre.sum(axis=(0, 1)),
+            "dec.w": dec_dw, "dec.b": dpre_sum.sum(axis=0),
             "out.w": dout_w, "out.b": dout_b}
 
 
-def predict_batch(model: Seq2SeqModel, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:
+def predict_batch(model: Seq2SeqModel, inputs: np.ndarray, chunk: int = 128) -> np.ndarray:
     """Predictions for many windows, chunked to bound memory.
 
     No backprop cache is kept: a chunk of B windows holds the encoder and
     decoder (h, c) sequences, 16 (n_past + n_future) B hidden bytes, plus
-    one step's slots.
+    the decoder's projected input and one step's slots.  The default chunk
+    keeps a step's working set in a core's L2 cache at hidden 100.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     parts = [

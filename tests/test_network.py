@@ -29,7 +29,7 @@ def zero_model(n_past=4, n_future=3, hidden=5, attention=False) -> net.Seq2SeqMo
 def ref_step(params: net.LstmParams, x, h, c):
     """Independent per-vector LSTM cell, one matrix-vector product per gate
     (gate k owns rows k*hidden:(k+1)*hidden).  Returns (h, c, gates)."""
-    hid = params.hidden
+    hid = len(params.b) // 4
     z = np.concatenate([h, np.asarray(x, dtype=np.float64).reshape(-1)])
 
     def gate(k, activation):
@@ -64,8 +64,9 @@ def ref_decode(model: net.Seq2SeqModel, h_final, c_final):
 def run_cell(params, xs):
     """One batched LSTM run from the zero state over a single sequence xs
     of shape (T, input)."""
-    zero = np.zeros((1, params.hidden))
-    return net._run_lstm(params, np.asarray(xs, dtype=np.float64)[:, None, :], zero, zero)
+    zero = np.zeros((1, len(params.b) // 4))
+    return net._run_lstm(params.w, params.b, np.asarray(xs, dtype=np.float64)[:, None, :],
+                         zero, zero)
 
 
 class TestLstmStep:
@@ -125,12 +126,13 @@ class TestEncode:
         npt.assert_allclose(cache.enc.c[0, 0], c, rtol=1e-12, atol=1e-15)
 
     def test_stack_tail_is_final_state(self):
-        # the decoder starts from the encoder's last state and reads h_T as input
+        # the decoder starts from the encoder's last state; its GEMM rows hold
+        # only h_prev, since its input h_T enters through the projected bias
         model = net.init(net.ModelConfig(n_past=6, n_future=2, hidden=4), Rng(6))
         cache = net.forward_batch(model, np.linspace(0, 1, 6)[None, :])
-        h_final = cache.enc.h[-1]
         npt.assert_array_equal(cache.dec.c0, cache.enc.c[-1])
-        npt.assert_array_equal(cache.dec.z[0], np.concatenate([h_final, h_final], axis=1))
+        npt.assert_array_equal(cache.dec.z[0], cache.enc.h[-1])
+        npt.assert_array_equal(cache.dec.z[1], cache.dec.h[0])
 
     def test_wrong_length_rejected(self):
         model = zero_model(n_past=4)
@@ -390,6 +392,15 @@ class TestForwardProperties:
                 npt.assert_allclose(preds, whole, atol=1e-15)
 
     @pytest.mark.parametrize("attention", [False, True])
+    def test_predict_batch_default_chunks_match_forward_batch(self, attention):
+        # 300 windows: two full 128-window chunks and a 44-window tail
+        model = net.init(net.ModelConfig(n_past=12, n_future=6, hidden=24, attention=attention),
+                         Rng(3))
+        windows = Rng(4).uniform_array(300 * 12, 0, 1).reshape(300, 12)
+        per_chunk = [net.forward_batch(model, windows[k:k + 128]).preds for k in (0, 128, 256)]
+        npt.assert_array_equal(net.predict_batch(model, windows), np.concatenate(per_chunk))
+
+    @pytest.mark.parametrize("attention", [False, True])
     def test_predict_batch_keeps_no_backprop_cache(self, attention):
         model = net.init(net.ModelConfig(n_past=12, n_future=6, hidden=100, attention=attention),
                          Rng(1))
@@ -400,8 +411,9 @@ class TestForwardProperties:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the full cache of one 512-window chunk alone is about 70 MB
-        assert peak < 32e6
+        # the full cache of one 512-window chunk alone is about 70 MB; four
+        # 128-window chunks without it peak near 6 MB (plain) and 8 MB (attention)
+        assert peak < 12e6
 
     def test_backward_rejects_inference_cache(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -9,15 +10,11 @@ from hypothesis import strategies as st
 from tfl.numeric import Rng, sigmoid, softmax
 
 
-def masked_sigmoid(x):
-    """Two-branch logistic over boolean masks: the bitwise oracle."""
+def one_exp_sigmoid(x):
+    """1 / (1 + exp(-x)) as one plain expression: the bitwise oracle."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7,
@@ -50,48 +47,54 @@ class TestActivations:
         xs_inner = np.linspace(-8, 8, 1001)
         assert np.all(np.diff(sigmoid(xs_inner)) > 0)
 
-    def test_matches_masked_two_branch_reference_bitwise(self):
-        def reference(x):
-            out = np.empty_like(x)
-            pos = x >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-            ex = np.exp(x[~pos])
-            out[~pos] = ex / (1.0 + ex)
-            return out
-
+    def test_matches_one_exp_reference_bitwise(self):
         rng = np.random.default_rng(3)
         xs = np.concatenate([rng.normal(scale=s, size=20000) for s in (1e-3, 1, 30, 1e3)]
                             + [[0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 746.0, -746.0,
                                 np.inf, -np.inf]])
-        npt.assert_array_equal(sigmoid(xs).view(np.int64), reference(xs).view(np.int64))
+        npt.assert_array_equal(bits(sigmoid(xs)), bits(one_exp_sigmoid(xs)))
+
+    def test_relative_error_against_long_double_logistic(self):
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([rng.normal(scale=s, size=50000) for s in (1e-3, 1, 30, 300)]
+                            + [np.linspace(-740.0, 40.0, 50000), EDGES])
+        xs = xs[np.isfinite(xs)]
+        exact = 1 / (1 + np.exp(-xs.astype(np.longdouble)))
+        normal = exact >= np.finfo(np.float64).smallest_normal
+        assert normal.sum() > 200000
+        rel = np.abs((sigmoid(xs).astype(np.longdouble) - exact) / exact)
+        assert rel[normal].max() <= 4.5e-16
 
     def test_saturation_is_graceful(self):
-        assert sigmoid(1000.0) == 1.0
-        assert sigmoid(-1000.0) == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sigmoid(1000.0) == 1.0
+            assert sigmoid(-1000.0) == 0.0
+            npt.assert_array_equal(sigmoid(np.array([-746.0, -1e308, -np.inf])), 0.0)
 
     def test_out_aliasing_input_matches_reference_bitwise(self):
         xs = spread_sample().reshape(-1, 4)
         buf = xs.copy()
         result = sigmoid(buf, out=buf)
         assert result is buf
-        npt.assert_array_equal(bits(buf), bits(masked_sigmoid(xs)))
+        npt.assert_array_equal(bits(buf), bits(one_exp_sigmoid(xs)))
 
     def test_strided_column_out_matches_reference_bitwise(self):
         xs = spread_sample()
         buf = np.full((len(xs), 3), 7.0)
         result = sigmoid(xs, out=buf[:, 1])
         assert np.shares_memory(result, buf)
-        npt.assert_array_equal(bits(buf[:, 1]), bits(masked_sigmoid(xs)))
+        npt.assert_array_equal(bits(buf[:, 1]), bits(one_exp_sigmoid(xs)))
         npt.assert_array_equal(buf[:, [0, 2]], 7.0)
         # the input may itself be a strided column, written in place
         grid = np.stack([xs, -xs], axis=1)
         sigmoid(grid[:, 1], out=grid[:, 1])
-        npt.assert_array_equal(bits(grid[:, 1]), bits(masked_sigmoid(-xs)))
+        npt.assert_array_equal(bits(grid[:, 1]), bits(one_exp_sigmoid(-xs)))
         npt.assert_array_equal(bits(grid[:, 0]), bits(xs))
 
     @pytest.mark.parametrize("value", EDGES + [2.0, -3.25])
     def test_scalar_inputs_match_reference_bitwise(self, value):
-        expected = bits(masked_sigmoid(np.array([value]))[0])
+        expected = bits(one_exp_sigmoid(np.array([value]))[0])
         for x in (value, np.float64(value), np.array(value)):
             got = sigmoid(x)
             assert type(got) is float
