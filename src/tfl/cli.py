@@ -202,7 +202,6 @@ EVALUATE_OPTS = [
     Opt("data", str, None, "evaluation CSV"),
     Opt("out_dir", str, None, "directory for metric tables"),
     Opt("split", float, 0.8, "chronological split; the test side is evaluated"),
-    Opt("horizons", str, "6,9,12", "accepted forecast horizons"),
 ]
 
 REPORT_OPTS = [
@@ -380,17 +379,8 @@ def _evaluate_one(model_path: str, model: network.Seq2SeqModel, scaler: ds.Scale
 
 def cmd_evaluate(cfg: dict) -> int:
     _require(cfg, "model", "data", "out_dir")
-    horizons = {int(h) for h in cfg["horizons"].split(",") if h}
     series = _load_series(cfg["data"])
-    loaded = []
-    for path in cfg["model"]:
-        model, scaler, _ = model_io.load_model(path)
-        if model.config.n_future not in horizons:
-            raise UsageError(
-                f"{path}: model horizon {model.config.n_future} not in "
-                f"accepted horizons {sorted(horizons)}"
-            )
-        loaded.append((path, model, scaler))
+    loaded = [(path, *model_io.load_model(path)[:2]) for path in cfg["model"]]
     tables: dict[str, ev.MetricsTable] = {}
     for path, model, scaler in loaded:
         tables.update(_evaluate_one(path, model, scaler, series, cfg["split"]))

@@ -23,8 +23,6 @@ DEFAULT_START = datetime(2024, 1, 1, tzinfo=timezone.utc)
 DAILY_PERIOD_SAMPLES = 288    # 24 h of 5-minute samples
 WEEKLY_PERIOD_SAMPLES = 2016  # 7 days of 5-minute samples
 
-LINK_CAPACITY_BPS = 40e9  # values above this are physically suspect
-
 CSV_HEADER = ("timestamp", "bps")
 
 
@@ -225,34 +223,6 @@ def write_csv(series: TimeSeries, path) -> None:
         for k, v in enumerate(series.values):
             ts = series.start + timedelta(seconds=k * series.interval)
             writer.writerow([ts.strftime(fmt), repr(float(v))])
-
-
-def counters_to_bps(
-    samples, interval: float = DEFAULT_INTERVAL, start: datetime = DEFAULT_START
-) -> tuple[TimeSeries, list[str]]:
-    """Octet-counter readings -> bps series (delta x 8 / interval).
-
-    64-bit counter wraps show up as negative deltas and get 2^64 added
-    back.  Rates beyond the 40 Gbps link capacity are flagged in the
-    returned warning list, not rejected.
-    """
-    samples = list(samples)
-    if len(samples) < 2:
-        raise DataError(f"need at least 2 counter samples, got {len(samples)}")
-    # keep exact integer arithmetic through the wrap correction: near-2^64
-    # counter values are not representable in float64
-    deltas = []
-    for prev, cur in zip(samples, samples[1:]):
-        delta = cur - prev
-        if delta < 0:
-            delta += 2 ** 64
-        deltas.append(float(delta))
-    bps = np.array(deltas) * 8.0 / interval
-    warnings = [
-        f"sample {k + 1}: rate {bps[k]:.6g} bps exceeds {LINK_CAPACITY_BPS:.0f} bps capacity"
-        for k in np.nonzero(bps > LINK_CAPACITY_BPS)[0]
-    ]
-    return TimeSeries(bps, start=start, interval=interval), warnings
 
 
 def summary_stats(series) -> SummaryStats:

@@ -33,6 +33,10 @@ from .numeric import Rng, assert_finite, sigmoid, softmax
 
 GATES = ("f", "i", "c", "o")
 
+# windows per predict_batch chunk: keeps a step's working set in a core's
+# L2 cache at hidden 100
+PREDICT_CHUNK = 128
+
 
 @dataclass
 class ModelConfig:
@@ -101,18 +105,6 @@ def param_items(model: Seq2SeqModel) -> list[tuple[str, np.ndarray]]:
         ("dec.w", model.decoder.w), ("dec.b", model.decoder.b),
         ("out.w", model.output.w), ("out.b", model.output.b),
     ]
-
-
-def copy_model(model: Seq2SeqModel) -> Seq2SeqModel:
-    def cp(lstm: LstmParams) -> LstmParams:
-        return LstmParams(w=lstm.w.copy(), b=lstm.b.copy())
-
-    return Seq2SeqModel(
-        config=ModelConfig(**vars(model.config)),
-        encoder=cp(model.encoder),
-        decoder=cp(model.decoder),
-        output=DenseParams(w=model.output.w.copy(), b=model.output.b.copy()),
-    )
 
 
 def _glorot(rows: int, cols: int, rng: Rng) -> np.ndarray:
@@ -336,17 +328,16 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
             "out.w": dout_w, "out.b": dout_b}
 
 
-def predict_batch(model: Seq2SeqModel, inputs: np.ndarray, chunk: int = 128) -> np.ndarray:
-    """Predictions for many windows, chunked to bound memory.
+def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
+    """Predictions for many windows, ``PREDICT_CHUNK`` at a time to bound memory.
 
     No backprop cache is kept: a chunk of B windows holds the encoder and
     decoder (h, c) sequences, 16 (n_past + n_future) B hidden bytes, plus
-    the decoder's projected input and one step's slots.  The default chunk
-    keeps a step's working set in a core's L2 cache at hidden 100.
+    the decoder's projected input and one step's slots.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     parts = [
-        _forward(model, inputs[k : k + chunk], keep=False).preds
-        for k in range(0, len(inputs), chunk)
+        _forward(model, inputs[k : k + PREDICT_CHUNK], keep=False).preds
+        for k in range(0, len(inputs), PREDICT_CHUNK)
     ]
     return np.concatenate(parts) if parts else np.empty((0, model.config.n_future))

@@ -40,15 +40,12 @@ class Rng:
         """Child stream ``index`` of ``seed``: splitmix output number index+1.
 
         Used for per-copy augmentation streams, so parallel and serial
-        generation of copies see the same draws.
+        generation of copies see the same draws.  After k draws the state
+        is seed + k * gamma (mod 2^64), so the child is found in O(1).
         """
         if index < 0:
             raise ValueError(f"derive index must be >= 0, got {index}")
-        parent = cls(seed)
-        child_seed = 0
-        for _ in range(index + 1):
-            child_seed = parent.next_u64()
-        return cls(child_seed)
+        return cls(cls(seed + index * _GAMMA).next_u64())
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64

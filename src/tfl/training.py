@@ -12,6 +12,7 @@ coupled to the learning rate.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ from .network import (
     GATES,
     Seq2SeqModel,
     backward_batch,
-    copy_model,
     forward_batch,
     init_output_layer,
     param_items,
@@ -156,7 +156,7 @@ def train(
             f"dataset windows ({data.n_past}->{data.n_future}) do not match "
             f"model config ({mc.n_past}->{mc.n_future})"
         )
-    model = copy_model(model)
+    model = copy.deepcopy(model)
     state = AdamState.fresh(model, cfg.lr, trainable)
     rng = Rng(cfg.seed)
     history: list[float] = []
@@ -211,7 +211,7 @@ def transfer(
     if mismatches:
         raise ValueError("transfer config mismatch: " + "; ".join(mismatches))
 
-    model = copy_model(source)
+    model = copy.deepcopy(source)
     model.output = init_output_layer(mc, Rng(seed))
     head = [name for name, _ in param_items(model) if name.startswith("out.")]
     logs = []

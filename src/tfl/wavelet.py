@@ -6,7 +6,8 @@ the highest-frequency band.  Synthesis upsamples, convolves with the same
 filter pair, and crops using the per-level length metadata, which makes
 the round-trip exact to float precision.  Signals are extended
 symmetrically (mirrored) at both edges, so no wrap-around artifacts
-appear at the ends of a traffic series.
+appear at the ends of a traffic series.  ``expand_dataset`` is the one
+augmentation path: dwt once, then perturb and idwt per copy.
 """
 
 from __future__ import annotations
@@ -199,12 +200,6 @@ def perturb(coeffs: DwtCoeffs, cfg: AugmentConfig, rng: Rng) -> DwtCoeffs:
         else:
             new_details.append(d * rng.uniform_array(len(d), a, b))
     return replace(coeffs, approx=coeffs.approx.copy(), details=new_details)
-
-
-def augment_series(series: np.ndarray, cfg: AugmentConfig) -> np.ndarray:
-    """One perturbed variant: idwt(perturb(dwt(x))).  Length-preserving."""
-    rng = Rng(cfg.seed)
-    return idwt(perturb(dwt(series, cfg), cfg, rng), cfg)
 
 
 @dataclass

@@ -64,7 +64,8 @@ def test_criterion_2_perfect_reconstruction():
         x = Rng(77).uniform_array(256, 1.0, 2.0)
         identity_cfg = wv.AugmentConfig(filter=wv.DB4, levels=3,
                                         factor_range=(1.0, 1.0), seed=5)
-        assert np.abs(wv.augment_series(x, identity_cfg) - x).max() < 1e-9
+        variant = wv.expand_dataset(ds.TimeSeries(x), identity_cfg, 1)[1].series.values
+        assert np.abs(variant - x).max() < 1e-9
 
 
 def test_criterion_3_filter_identities():
@@ -271,8 +272,7 @@ def test_criterion_10_end_to_end_determinism(tmp_path):
                              "--batch", "16", "--seed", "5"]) == 0
             eval_dir = root / "eval"
             assert cli_main(["evaluate", "--model", str(adapted),
-                             "--data", str(target_csv), "--out-dir", str(eval_dir),
-                             "--horizons", "6"]) == 0
+                             "--data", str(target_csv), "--out-dir", str(eval_dir)]) == 0
             return eval_dir
 
         first = run_pipeline(tmp_path / "run1")

@@ -5,7 +5,7 @@ import pytest
 
 from tfl import model_io as mio
 from tfl.cli import main
-from tfl.dataset import load_csv
+from tfl.dataset import TimeSeries, load_csv, write_csv
 
 
 @pytest.fixture()
@@ -103,20 +103,54 @@ class TestTrainEvaluate:
         dirs = [tmp_path / "eval1", tmp_path / "eval2"]
         for d in dirs:
             assert main(["evaluate", "--model", str(model_path),
-                         "--data", str(series_csv), "--out-dir", str(d),
-                         "--horizons", "3,6"]) == 0
+                         "--data", str(series_csv), "--out-dir", str(d)]) == 0
         names = sorted(p.name for p in dirs[0].glob("*.csv"))
         assert names, "evaluate produced no CSVs"
         for name in names:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    def test_evaluate_horizon_contradiction_is_usage_error(self, tmp_path, series_csv):
+    def test_evaluate_flat_test_tail_exits_zero(self, tmp_path, series_csv):
+        # a flat test side gives every window the same error at a step
+        series, _ = load_csv(series_csv)
+        values = series.values.copy()
+        values[320:] = 5e8
+        flat_csv = tmp_path / "flat.csv"
+        write_csv(TimeSeries(values), flat_csv)
+        model_path = tmp_path / "m.tfl"
+        assert main(train_args(flat_csv, model_path, **{"n-future": "6"})) == 0
+        assert main(["evaluate", "--model", str(model_path), "--data", str(flat_csv),
+                     "--out-dir", str(tmp_path / "e")]) == 0
+
+    def test_evaluate_takes_each_model_at_its_stored_horizon(self, tmp_path, series_csv):
+        models = []
+        for horizon in ("3", "5"):
+            models.append(tmp_path / f"h{horizon}.tfl")
+            assert main(train_args(series_csv, models[-1], **{"n-future": horizon})) == 0
+        out_dir = tmp_path / "eval"
+        assert main(["evaluate", "--model", ",".join(map(str, models)),
+                     "--data", str(series_csv), "--out-dir", str(out_dir)]) == 0
+        for horizon, model in zip((3, 5), models):
+            for kind in ("scaled", "raw"):
+                rows = (out_dir / f"metrics_{model.stem}_{kind}.csv").read_text().splitlines()
+                assert len(rows) == 1 + horizon + 1  # header, one row per step, average
+
+    def test_evaluate_echo_with_horizons_is_unknown_key(self, tmp_path, series_csv, capsys):
+        # echoes written while evaluate still had --horizons carry that key
         model_path = tmp_path / "m.tfl"
         assert main(train_args(series_csv, model_path)) == 0
-        code = main(["evaluate", "--model", str(model_path),
-                     "--data", str(series_csv), "--out-dir", str(tmp_path / "e"),
-                     "--horizons", "6,9,12"])
-        assert code == 1  # model horizon 3 not accepted
+        first = tmp_path / "eval1"
+        assert main(["evaluate", "--model", str(model_path),
+                     "--data", str(series_csv), "--out-dir", str(first)]) == 0
+        echo = first / "evaluate_config.txt"
+        assert "horizons" not in echo.read_text()
+        old_echo = tmp_path / "old_evaluate_config.txt"
+        old_echo.write_text(echo.read_text() + "horizons=6,9,12\n")
+        capsys.readouterr()
+        second = tmp_path / "eval2"
+        assert main(["evaluate", "--config", str(old_echo), "--out-dir", str(second)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {old_echo}: unknown config key(s): horizons"]
+        assert not second.exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path, series_csv):
         config = tmp_path / "run.conf"
@@ -265,8 +299,7 @@ class TestReportCli:
         assert main(train_args(series_csv, model_path, **{"n-future": "4"})) == 0
         eval_dir = tmp_path / "eval"
         assert main(["evaluate", "--model", str(model_path),
-                     "--data", str(series_csv), "--out-dir", str(eval_dir),
-                     "--horizons", "4"]) == 0
+                     "--data", str(series_csv), "--out-dir", str(eval_dir)]) == 0
         metrics = next(eval_dir.glob("metrics_*_scaled.csv"))
         out_dir = tmp_path / "report"
         assert main(["report", "--before", str(metrics), "--after", str(metrics),
@@ -326,7 +359,7 @@ class TestGoldenHash:
                      "--batch", "16", "--seed", "5"]) == 0
         out_dir = tmp_path / "eval"
         assert main(["evaluate", "--model", str(adapted), "--data", str(target_csv),
-                     "--out-dir", str(out_dir), "--horizons", "3"]) == 0
+                     "--out-dir", str(out_dir)]) == 0
         hashes = (mio.file_sha256(adapted), mio.file_sha256(out_dir / "metrics_adapted_raw.csv"))
         assert hashes == GOLDEN[attention]
 

@@ -228,32 +228,6 @@ class TestUnfillableGap:
         assert "Warning" not in err[0]
 
 
-class TestCountersToBps:
-    def test_hand_arithmetic(self):
-        series, warnings = ds.counters_to_bps([0, 300], interval=300)
-        npt.assert_array_equal(series.values, [8.0])
-        assert warnings == []
-
-    def test_constant_counters_zero_rate(self):
-        series, _ = ds.counters_to_bps([7, 7, 7, 7], interval=300)
-        npt.assert_array_equal(series.values, [0.0, 0.0, 0.0])
-
-    def test_capacity_warning(self):
-        # 40 Gbps over 300 s needs a delta > 1.5e12 octets
-        series, warnings = ds.counters_to_bps([0, 2.0e12], interval=300)
-        assert len(warnings) == 1
-        assert "capacity" in warnings[0]
-
-    def test_counter_wrap_adds_two_to_the_64(self):
-        before = 2 ** 64 - 400
-        series, _ = ds.counters_to_bps([before, 400], interval=300)
-        npt.assert_allclose(series.values, [800 * 8 / 300])
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(DataError, match="at least 2"):
-            ds.counters_to_bps([5])
-
-
 class TestSummaryStats:
     def test_constant_series_signals_undefined_skewness(self):
         stats = ds.summary_stats(np.array([1.0, 1.0, 1.0, 1.0]))

@@ -133,6 +133,15 @@ class TestPerStepTable:
             for row in table.per_step:
                 assert row.rmse >= row.mae
 
+    def test_constant_error_is_not_a_numeric_failure(self):
+        # every window misses by the same amount: RMSE == MAE exactly, yet
+        # in floats RMSE rounds one ulp below MAE at some step
+        o = Rng(1).uniform_array(199 * 3, 0.5, 1.5).reshape(199, 3)
+        table = ev.per_step_table(o + 0.7, o)
+        for row in table.per_step:
+            assert row.rmse == pytest.approx(0.7, rel=1e-12)
+            assert row.mae == pytest.approx(0.7, rel=1e-12)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="matching"):
             ev.per_step_table(np.zeros((3, 4)), np.zeros((3, 5)))

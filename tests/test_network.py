@@ -375,14 +375,15 @@ class TestForwardProperties:
                 npt.assert_allclose(batch[k], net.forward_batch(model, windows[k:k + 1]).preds[0],
                                     rtol=1e-12, atol=1e-15)
 
-    def test_predict_batch_chunking(self):
+    def test_predict_batch_chunking(self, monkeypatch):
         windows = Rng(10).uniform_array(28, 0, 1).reshape(7, 4)
         for attention in (False, True):
             model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
                                              attention=attention), Rng(9))
             whole = net.forward_batch(model, windows).preds
             for chunk in (1, 3, len(windows), len(windows) + 5):
-                preds = net.predict_batch(model, windows, chunk=chunk)
+                monkeypatch.setattr(net, "PREDICT_CHUNK", chunk)
+                preds = net.predict_batch(model, windows)
                 # OpenBLAS rounds a GEMM of very few rows differently in the
                 # last bit, so the same chunks through forward_batch are the
                 # bitwise reference

@@ -178,6 +178,22 @@ class TestRng:
             npt.assert_array_equal(a, b)
         assert not np.allclose(children[0], children[1])
 
+    def test_derive_matches_draw_loop(self):
+        def reference(seed, index):
+            # the definition: child seed is the parent's (index + 1)-th output
+            parent = Rng(seed)
+            for _ in range(index + 1):
+                child_seed = parent.next_u64()
+            return child_seed
+
+        mismatches = [(seed, k) for seed in (0, 42, -5, 2 ** 64 - 1) for k in range(301)
+                      if Rng.derive(seed, k).next_u64() != Rng(reference(seed, k)).next_u64()]
+        assert mismatches == []
+
+    def test_derive_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="derive index must be >= 0"):
+            Rng.derive(42, -1)
+
     def test_normal_moments(self):
         rng = Rng(17)
         draws = rng.normal_array(10_000)

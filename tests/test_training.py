@@ -185,6 +185,15 @@ class TestTrain:
             npt.assert_array_equal(arr, before[name], err_msg=name)
 
 
+    def test_returned_model_owns_contiguous_arrays(self):
+        model = small_model(seed=13)
+        trained, _ = tr.train(model, constant_windows(), tr.TrainConfig(epochs=1, lr=0.0))
+        source = dict(net.param_items(model))
+        for name, arr in net.param_items(trained):
+            assert arr.flags.c_contiguous, name
+            assert not np.shares_memory(arr, source[name]), name
+        assert trained.config == model.config
+
 class TestTransfer:
     def setup_method(self):
         self.source = small_model(seed=21)
@@ -224,6 +233,14 @@ class TestTransfer:
                    if not name.startswith("out.") and not np.array_equal(arr, src[name])]
         assert changed  # fine-tune touched the body
 
+
+    def test_source_model_is_not_mutated(self):
+        before = snapshot(self.source)
+        model, _ = tr.transfer(self.source, self.data, [(1, 0.001), (1, 0.0001)], batch=8, seed=7)
+        src = dict(net.param_items(self.source))
+        for name, arr in net.param_items(model):
+            npt.assert_array_equal(src[name], before[name], err_msg=name)
+            assert not np.shares_memory(arr, src[name]), name
 
 class TestGradientCheck:
     def test_plain_model_matches_finite_differences(self):
