@@ -9,6 +9,8 @@ be reproduced with ``--config <echo file>``.
 ``train`` and ``transfer`` share one run path: window the chronological
 train side of ``--data`` (scaled by a fit on that side alone), train, save
 the model, and write the history and config echo into the run directory.
+``evaluate`` scores each model on the chronological test side of the
+split recorded in its own file.
 
 Exit codes: 0 ok, 1 usage or config contradiction, 2 data error,
 3 numeric failure.
@@ -107,7 +109,10 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
         if flag_value is not None:
             resolved[opt.name] = flag_value
         elif opt.name in file_values:
-            resolved[opt.name] = opt.typ(file_values[opt.name])
+            try:
+                resolved[opt.name] = opt.typ(file_values[opt.name])
+            except ValueError as exc:
+                raise UsageError(f"{args.config}: {opt.name}: {exc}") from None
         else:
             resolved[opt.name] = opt.default
     return resolved
@@ -142,7 +147,6 @@ _TRAIN_COMMON = [
     Opt("batch", int, 32, "minibatch size"),
     Opt("seed", int, 42, "run seed"),
     Opt("split", float, 0.8, "chronological train fraction"),
-    Opt("delta", float, 1.0, "Huber transition point"),
 ]
 
 SYNTH_OPTS = [
@@ -173,7 +177,6 @@ AUGMENT_OPTS = [
     Opt("out_dir", str, None, "directory for augmented copies"),
     Opt("copies", int, 3, "number of perturbed variants"),
     *_WAVELET_OPTS,
-    Opt("per_band", _bool, False, "one factor per band instead of per coefficient"),
     Opt("seed", int, 42, "perturbation seed"),
 ]
 
@@ -201,7 +204,6 @@ EVALUATE_OPTS = [
     Opt("model", _paths, None, "model file(s), comma-separated for several"),
     Opt("data", str, None, "evaluation CSV"),
     Opt("out_dir", str, None, "directory for metric tables"),
-    Opt("split", float, 0.8, "chronological split; the test side is evaluated"),
 ]
 
 REPORT_OPTS = [
@@ -266,7 +268,6 @@ def _augment_config(cfg: dict) -> wavelet.AugmentConfig:
         levels=cfg["levels"],
         factor_range=(cfg["factor_lo"], cfg["factor_hi"]),
         seed=cfg["seed"],
-        per_band=cfg.get("per_band", False),
     )
 
 
@@ -332,7 +333,7 @@ def cmd_train(cfg: dict) -> int:
     model = network.init(mc, Rng(cfg["seed"]))
     tc = training.TrainConfig(epochs=cfg["epochs"], batch=cfg["batch"],
                               lr=cfg["lr"], seed=cfg["seed"])
-    model, history = training.train(model, windows, tc, cfg["delta"])
+    model, history = training.train(model, windows, tc)
     provenance = {"epochs": cfg["epochs"], "lr": cfg["lr"], "batch": cfg["batch"],
                   "parent_sha256": None}
     out = _write_run(cfg, "train", "loss_history.csv", model, scaler, provenance,
@@ -346,7 +347,7 @@ def cmd_transfer(cfg: dict) -> int:
     source, _, _ = model_io.load_model(cfg["source_model"])
     scaler, windows = _training_windows(cfg, source.config)
     phases = [(cfg["phase1_epochs"], cfg["phase1_lr"]), (cfg["phase2_epochs"], cfg["phase2_lr"])]
-    model, logs = training.transfer(source, windows, phases, cfg["batch"], cfg["seed"], cfg["delta"])
+    model, logs = training.transfer(source, windows, phases, cfg["batch"], cfg["seed"])
     provenance = {
         "epochs": cfg["phase1_epochs"] + cfg["phase2_epochs"],
         "phase_lrs": [log.lr for log in logs],
@@ -359,10 +360,15 @@ def cmd_transfer(cfg: dict) -> int:
     return 0
 
 
-def _evaluate_one(model_path: str, model: network.Seq2SeqModel, scaler: ds.ScalerParams | None,
-                  series: ds.TimeSeries, split_ratio: float) -> dict[str, ev.MetricsTable]:
+def _evaluate_one(model_path: str, series: ds.TimeSeries) -> dict[str, ev.MetricsTable]:
+    """Scaled and raw-unit tables of one model on the test side of the split
+    its own file records, scaled by the scaler it was trained with."""
+    model, scaler, provenance = model_io.load_model(model_path)
     if scaler is None:
         raise DataError(f"{model_path}: model file carries no scaler; cannot evaluate")
+    split_ratio = provenance.get("split")
+    if type(split_ratio) is not float:
+        raise DataError(f"{model_path}: model file records no float split; cannot evaluate")
     mc = model.config
     _, test_series = ds.split(series, split_ratio, min_points=mc.n_past + mc.n_future)
     test_windows = _windows_for(test_series.values, scaler, mc)
@@ -379,11 +385,17 @@ def _evaluate_one(model_path: str, model: network.Seq2SeqModel, scaler: ds.Scale
 
 def cmd_evaluate(cfg: dict) -> int:
     _require(cfg, "model", "data", "out_dir")
+    if not cfg["model"]:
+        raise UsageError("--model names no model file")
+    stems = [Path(path).stem for path in cfg["model"]]
+    shared = sorted({stem for stem in stems if stems.count(stem) > 1})
+    if shared:
+        raise UsageError(f"--model: several files share the stem {', '.join(shared)}; "
+                         f"their metric tables would overwrite each other")
     series = _load_series(cfg["data"])
-    loaded = [(path, *model_io.load_model(path)[:2]) for path in cfg["model"]]
     tables: dict[str, ev.MetricsTable] = {}
-    for path, model, scaler in loaded:
-        tables.update(_evaluate_one(path, model, scaler, series, cfg["split"]))
+    for path in cfg["model"]:
+        tables.update(_evaluate_one(path, series))
     out_dir = Path(cfg["out_dir"])
     ev.emit_report(tables, None, out_dir)
     write_config_echo(cfg, out_dir / "evaluate_config.txt")

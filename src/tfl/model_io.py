@@ -132,7 +132,7 @@ def _block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
-    """Read a model file back; rejects bad magic, newer versions, truncation,
+    """Read a model file back; rejects bad magic, any other version, truncation,
     malformed headers, and weight blocks whose name or shape contradicts the
     stored config (checked before the block's data is read)."""
     path = Path(path)
@@ -141,9 +141,9 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
         if magic != MAGIC:
             raise ValueError(f"{path}: not a model file (magic {magic!r}, expected {MAGIC!r})")
         (version,) = struct.unpack("<I", _read_exact(fh, 4, path, "version"))
-        if version > VERSION:
+        if version != VERSION:
             raise ValueError(
-                f"{path}: unsupported format version {version} (this build reads <= {VERSION})"
+                f"{path}: unsupported format version {version} (this build reads {VERSION})"
             )
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
         blob = _read_exact(fh, hlen, path, "header")

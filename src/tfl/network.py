@@ -236,7 +236,8 @@ class ForwardCache:
     dec: _SeqCache
     preds: np.ndarray         # (B, n_future)
     attn: np.ndarray | None   # (n_future, B, n_past)
-    ctx: np.ndarray | None    # (n_future, B, hidden)
+    feats: np.ndarray         # (n_future, B, width): what the output layer read,
+                              # [attention context, decoder h] or decoder h alone
 
 
 def forward_batch(model: Seq2SeqModel, inputs: np.ndarray) -> ForwardCache:
@@ -268,11 +269,11 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
         ctx = np.matmul(attn.transpose(1, 0, 2), enc_b).transpose(1, 0, 2)
         feats = np.concatenate([ctx, dec.h], axis=2)
     else:
-        attn = ctx = None
+        attn = None
         feats = dec.h
     preds = (feats @ model.output.w).T + model.output.b[0]  # (B, n_future)
     assert_finite(preds, "forward predictions")
-    return ForwardCache(enc=enc, dec=dec, preds=preds, attn=attn, ctx=ctx)
+    return ForwardCache(enc=enc, dec=dec, preds=preds, attn=attn, feats=feats)
 
 
 def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray) -> dict[str, np.ndarray]:
@@ -293,18 +294,14 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     B = dpreds.shape[0]
     dy = dpreds.T  # (n_future, B)
 
-    if cfg.attention:
-        feats = np.concatenate([cache.ctx, cache.dec.h], axis=2)
-    else:
-        feats = cache.dec.h
-    dout_w = np.einsum("sb,sbk->k", dy, feats)
+    dout_w = np.einsum("sb,sbk->k", dy, cache.feats)
     dout_b = np.array([dy.sum()])
     dfeats = dy[:, :, None] * model.output.w  # (n_future, B, width)
 
     denc_seq = np.zeros((cfg.n_past, B, hid))
     if cfg.attention:
         dctx = dfeats[:, :, :hid]
-        ddec_seq = dfeats[:, :, hid:].copy()
+        ddec_seq = dfeats[:, :, hid:]  # a view: dfeats is this call's own array
         attn, enc_h, dec_h = cache.attn, cache.enc.h, cache.dec.h
         dattn = np.einsum("sbh,tbh->sbt", dctx, enc_h)
         denc_seq += np.einsum("sbt,sbh->tbh", attn, dctx)
@@ -312,7 +309,7 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
         ddec_seq += np.einsum("sbt,tbh->sbh", dscores, enc_h)
         denc_seq += np.einsum("sbt,sbh->tbh", dscores, dec_h)
     else:
-        ddec_seq = dfeats.copy()
+        ddec_seq = dfeats
 
     zero = np.zeros((B, hid))
     w_h, w_x = np.hsplit(model.decoder.w, [hid])

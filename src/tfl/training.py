@@ -39,25 +39,27 @@ BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
 
+# Huber loss transition point: quadratic below it, linear above
+HUBER_DELTA = 1.0
 
-def huber(pred: np.ndarray, target: np.ndarray, delta: float = 1.0) -> tuple[float, np.ndarray]:
+
+def huber(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean-reduced Huber loss and its exact gradient wrt predictions.
 
-    Per element: 0.5 e^2 for |e| <= delta, else delta (|e| - 0.5 delta).
+    Per element, with d = ``HUBER_DELTA``: 0.5 e^2 for |e| <= d, else
+    d (|e| - 0.5 d).
     """
-    if not delta > 0:
-        raise ValueError(f"huber delta must be > 0, got {delta}")
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"prediction/target shape mismatch: {pred.shape} vs {target.shape}")
     err = pred - target
     abs_err = np.abs(err)
-    quad = abs_err <= delta
-    per_elem = np.where(quad, 0.5 * err ** 2, delta * (abs_err - 0.5 * delta))
+    quad = abs_err <= HUBER_DELTA
+    per_elem = np.where(quad, 0.5 * err ** 2, HUBER_DELTA * (abs_err - 0.5 * HUBER_DELTA))
     n = err.size
     loss = float(per_elem.sum() / n)
-    grad = np.where(quad, err, delta * np.sign(err)) / n
+    grad = np.where(quad, err, HUBER_DELTA * np.sign(err)) / n
     return loss, grad
 
 
@@ -136,7 +138,6 @@ def train(
     model: Seq2SeqModel,
     data: WindowedDataset,
     cfg: TrainConfig,
-    delta: float = 1.0,
     trainable: Iterable[str] | None = None,
 ) -> tuple[Seq2SeqModel, list[float]]:
     """Minibatch Adam on a copy of the model; returns (model, per-epoch loss).
@@ -167,7 +168,7 @@ def train(
         for k in range(0, len(order), cfg.batch):
             idx = order[k : k + cfg.batch]
             cache = forward_batch(model, data.inputs[idx])
-            loss, dpred = huber(cache.preds, data.targets[idx], delta)
+            loss, dpred = huber(cache.preds, data.targets[idx])
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite at step {state.t + 1}")
             grads = backward_batch(model, cache, dpred)
@@ -192,7 +193,6 @@ def transfer(
     phases: Sequence[tuple[int, float]],
     batch: int,
     seed: int,
-    delta: float = 1.0,
 ) -> tuple[Seq2SeqModel, list[PhaseLog]]:
     """Adapt a source-domain model to target windows in two phases; returns
     (model, one log per phase).
@@ -218,7 +218,7 @@ def transfer(
     for name, cfg, trainable in (("freeze-body", cfg1, head), ("fine-tune", cfg2, None)):
         history = []
         if cfg.epochs > 0:
-            model, history = train(model, data, cfg, delta, trainable)
+            model, history = train(model, data, cfg, trainable)
         logs.append(PhaseLog(name, cfg.lr, history))
     return model, logs
 
@@ -230,7 +230,6 @@ def gradient_check(
     epsilon: float,
     samples_per_block: int = 20,
     seed: int = 0,
-    delta: float = 1.0,
 ) -> float:
     """Worst relative error between backprop and central finite differences
     of the Huber loss, over a random parameter sample from every block;
@@ -245,12 +244,12 @@ def gradient_check(
     targets = np.asarray(targets, dtype=np.float64).reshape(-1)
 
     cache = forward_batch(model, window[None, :])
-    _, dpred = huber(cache.preds[0], targets, delta)
+    _, dpred = huber(cache.preds[0], targets)
     grads = backward_batch(model, cache, dpred[None, :])
 
     def loss_at() -> float:
         preds = forward_batch(model, window[None, :]).preds[0]
-        value, _ = huber(preds, targets, delta)
+        value, _ = huber(preds, targets)
         return value
 
     rng = Rng(seed)

@@ -86,17 +86,13 @@ class DwtCoeffs:
 
     ``details[0]`` is level 1 (highest frequency).  ``lengths[j]`` records
     the signal length that entered decomposition step j, which the inverse
-    needs for exact cropping.
+    needs for exact cropping; ``filter`` is the bank that produced them.
     """
 
     approx: np.ndarray
     details: list[np.ndarray]
     lengths: list[int]
-    filter_name: str
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
+    filter: WaveletFilter
 
 
 @dataclass
@@ -107,7 +103,6 @@ class AugmentConfig:
     levels: int = 3
     factor_range: tuple[float, float] = (0.5, 1.5)
     seed: int = 0
-    per_band: bool = False  # one factor per detail band instead of per coefficient
 
     def __post_init__(self):
         a, b = self.factor_range
@@ -167,39 +162,26 @@ def dwt(signal: np.ndarray, cfg: AugmentConfig) -> DwtCoeffs:
         lengths.append(len(cur))
         cur, d = _analyze_level(cur, cfg.filter)
         details.append(d)
-    return DwtCoeffs(approx=cur, details=details, lengths=lengths, filter_name=cfg.filter.name)
+    return DwtCoeffs(approx=cur, details=details, lengths=lengths, filter=cfg.filter)
 
 
-def idwt(coeffs: DwtCoeffs, cfg: AugmentConfig) -> np.ndarray:
-    """Exact inverse of :func:`dwt` for coefficients from the same config."""
-    if coeffs.filter_name != cfg.filter.name:
-        raise ValueError(
-            f"coefficients were produced with '{coeffs.filter_name}', "
-            f"config carries '{cfg.filter.name}'"
-        )
-    if len(coeffs.lengths) != len(coeffs.details):
-        raise ValueError("length metadata does not match detail levels")
+def idwt(coeffs: DwtCoeffs) -> np.ndarray:
+    """Exact inverse of :func:`dwt`, with the filter bank the coefficients carry."""
     cur = coeffs.approx
     for detail, out_len in zip(reversed(coeffs.details), reversed(coeffs.lengths)):
-        cur = _synthesize_level(cur, detail, cfg.filter, out_len)
+        cur = _synthesize_level(cur, detail, coeffs.filter, out_len)
     return cur
 
 
 def perturb(coeffs: DwtCoeffs, cfg: AugmentConfig, rng: Rng) -> DwtCoeffs:
     """Scale every detail coefficient by a random factor from ``factor_range``.
 
-    Approximation coefficients pass through untouched.  Factors are drawn
-    per coefficient (or per band with ``per_band``), levels in ascending
-    order, so a seed fixes the result.
+    Approximation coefficients pass through untouched (the result shares
+    them).  Factors are drawn per coefficient, levels in ascending order,
+    so a seed fixes the result.
     """
     a, b = cfg.factor_range
-    new_details = []
-    for d in coeffs.details:
-        if cfg.per_band:
-            new_details.append(d * rng.uniform(a, b))
-        else:
-            new_details.append(d * rng.uniform_array(len(d), a, b))
-    return replace(coeffs, approx=coeffs.approx.copy(), details=new_details)
+    return replace(coeffs, details=[d * rng.uniform_array(len(d), a, b) for d in coeffs.details])
 
 
 @dataclass
@@ -227,13 +209,12 @@ def expand_dataset(original: TimeSeries, cfg: AugmentConfig, copies: int) -> lis
         "levels": cfg.levels,
         "factor_range": list(cfg.factor_range),
         "mode": "symmetric",  # the one extension mode, kept for stable provenance files
-        "per_band": cfg.per_band,
         "base_seed": cfg.seed,
     }
     coeffs = dwt(original.values, cfg)
     for k in range(copies):
         rng = Rng.derive(cfg.seed, k)
-        values = idwt(perturb(coeffs, cfg, rng), cfg)
+        values = idwt(perturb(coeffs, cfg, rng))
         clamped = int(np.sum(values < 0))
         if clamped:
             values = np.maximum(values, 0.0)

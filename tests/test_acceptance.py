@@ -59,7 +59,7 @@ def test_criterion_2_perfect_reconstruction():
                     n = lengths[k % len(lengths)]
                     x = Rng(1000 * levels + k).uniform_array(n, -5.0, 5.0)
                     cfg = wv.AugmentConfig(filter=wv.get_filter(name), levels=levels)
-                    err = np.abs(wv.idwt(wv.dwt(x, cfg), cfg) - x).max()
+                    err = np.abs(wv.idwt(wv.dwt(x, cfg)) - x).max()
                     assert err < 1e-9, f"{name} J={levels} n={n}: {err}"
         x = Rng(77).uniform_array(256, 1.0, 2.0)
         identity_cfg = wv.AugmentConfig(filter=wv.DB4, levels=3,
@@ -98,7 +98,7 @@ def test_criterion_4_attention_normalization():
             model = net.init(cfg, Rng(8000 + k))
             cache = net.forward_batch(model, [[0.1 + 0.05 * k]])
             for s in range(4):
-                npt.assert_array_equal(cache.ctx[s], cache.enc.h[0])
+                npt.assert_array_equal(cache.feats[s, :, :cfg.hidden], cache.enc.h[0])
             npt.assert_array_equal(cache.attn, np.ones((4, 1, 1)))
 
 

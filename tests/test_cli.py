@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from tfl import dataset as ds
+from tfl import evaluation as ev
 from tfl import model_io as mio
+from tfl import network as net
 from tfl.cli import main
 from tfl.dataset import TimeSeries, load_csv, write_csv
+from tfl.numeric import Rng
 
 
 @pytest.fixture()
@@ -134,23 +138,66 @@ class TestTrainEvaluate:
                 rows = (out_dir / f"metrics_{model.stem}_{kind}.csv").read_text().splitlines()
                 assert len(rows) == 1 + horizon + 1  # header, one row per step, average
 
-    def test_evaluate_echo_with_horizons_is_unknown_key(self, tmp_path, series_csv, capsys):
-        # echoes written while evaluate still had --horizons carry that key
+    def test_evaluate_uses_the_split_the_model_records(self, tmp_path, series_csv):
         model_path = tmp_path / "m.tfl"
-        assert main(train_args(series_csv, model_path)) == 0
-        first = tmp_path / "eval1"
+        assert main(train_args(series_csv, model_path, split="0.7")) == 0
+        out_dir = tmp_path / "eval"
         assert main(["evaluate", "--model", str(model_path),
-                     "--data", str(series_csv), "--out-dir", str(first)]) == 0
-        echo = first / "evaluate_config.txt"
-        assert "horizons" not in echo.read_text()
-        old_echo = tmp_path / "old_evaluate_config.txt"
-        old_echo.write_text(echo.read_text() + "horizons=6,9,12\n")
-        capsys.readouterr()
-        second = tmp_path / "eval2"
-        assert main(["evaluate", "--config", str(old_echo), "--out-dir", str(second)]) == 1
+                     "--data", str(series_csv), "--out-dir", str(out_dir)]) == 0
+        echo = (out_dir / "evaluate_config.txt").read_text().splitlines()
+        assert [line.partition("=")[0] for line in echo] == ["data", "model", "out_dir"]
+        model, scaler, _ = mio.load_model(model_path)
+        series, _ = load_csv(series_csv)
+
+        def tables_at(ratio):
+            _, test_side = ds.split(series, ratio)
+            windows = ds.make_windows(ds.scale(test_side.values, scaler), 8, 3)
+            preds = net.predict_batch(model, windows.inputs)
+            out = tmp_path / f"expected_{ratio}"
+            ev.emit_report({
+                "metrics_m_scaled": ev.per_step_table(preds, windows.targets),
+                "metrics_m_raw": ev.per_step_table(ds.inverse_scale(preds, scaler),
+                                                   ds.inverse_scale(windows.targets, scaler)),
+            }, None, out)
+            return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+        written = {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
+        assert written == tables_at(0.7)  # the last 30% of --data
+        assert written != tables_at(0.8)  # the old default split
+
+    @pytest.mark.parametrize("scaler, provenance, problem", [
+        (None, {"split": 0.8}, "model file carries no scaler"),
+        (ds.ScalerParams(0.0, 1e9), {}, "model file records no float split"),
+        (ds.ScalerParams(0.0, 1e9), {"split": "0.8"}, "model file records no float split"),
+        (ds.ScalerParams(0.0, 1e9), {"split": 1}, "model file records no float split"),
+    ])
+    def test_evaluate_model_without_scaler_or_split_is_data_error(
+            self, tmp_path, series_csv, capsys, scaler, provenance, problem):
+        model_path = tmp_path / "m.tfl"
+        model = net.init(net.ModelConfig(n_past=8, n_future=3, hidden=4), Rng(1))
+        mio.save_model(model, scaler, provenance, model_path)
+        out_dir = tmp_path / "eval"
+        assert main(["evaluate", "--model", str(model_path),
+                     "--data", str(series_csv), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {old_echo}: unknown config key(s): horizons"]
-        assert not second.exists()
+            f"data error: {model_path}: {problem}; cannot evaluate"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("models, message", [
+        ("a/m.tfl,b/m.tfl", "--model: several files share the stem m; "
+                            "their metric tables would overwrite each other"),
+        ("", "--model names no model file"),
+        (",", "--model names no model file"),
+    ])
+    def test_evaluate_model_list_usage_error(self, tmp_path, series_csv, capsys, monkeypatch,
+                                             models, message):
+        loaded = []
+        monkeypatch.setattr(mio, "load_model", lambda *a: loaded.append(a))
+        out_dir = tmp_path / "eval"
+        assert main(["evaluate", "--model", models, "--data", str(series_csv),
+                     "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert loaded == [] and not out_dir.exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path, series_csv):
         config = tmp_path / "run.conf"
@@ -165,6 +212,21 @@ class TestTrainEvaluate:
         echo = model_path.parent / "train_config.txt"
         assert "hidden=4" in echo.read_text()
 
+    @pytest.mark.parametrize("key, value, reason", [
+        ("epochs", "abc", "invalid literal for int() with base 10: 'abc'"),
+        ("attention", "maybe", "not a boolean: 'maybe'"),
+        ("lr", "fast", "could not convert string to float: 'fast'"),
+    ])
+    def test_bad_config_file_value_is_usage_error(self, tmp_path, series_csv, capsys,
+                                                  key, value, reason):
+        config = tmp_path / "train.conf"
+        config.write_text(f"hidden=4\n{key}={value}\n")
+        model_path = tmp_path / "run" / "m.tfl"
+        assert main(["train", "--config", str(config), "--data", str(series_csv),
+                     "--out", str(model_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}: {key}: {reason}"]
+        assert not model_path.parent.exists()
+
     def test_rerun_from_echoed_config(self, tmp_path, series_csv):
         first = tmp_path / "one" / "m.tfl"
         assert main(train_args(series_csv, first)) == 0
@@ -173,10 +235,7 @@ class TestTrainEvaluate:
                      "--out", str(second)]) == 0
         a, _, _ = mio.load_model(first)
         b, _, _ = mio.load_model(second)
-        for (name, pa), (_, pb) in zip(
-            __import__("tfl.network", fromlist=["param_items"]).param_items(a),
-            __import__("tfl.network", fromlist=["param_items"]).param_items(b),
-        ):
+        for (name, pa), (_, pb) in zip(net.param_items(a), net.param_items(b)):
             np.testing.assert_array_equal(pa, pb, err_msg=name)
 
     def test_scaler_never_sees_test_values(self, tmp_path, series_csv, monkeypatch):
@@ -292,6 +351,88 @@ class TestTransferCli:
         assert trained == [] and not adapted.parent.exists()
 
 
+def _echo_keys_except(path, key):
+    return [line for line in path.read_text().splitlines() if not line.startswith(key + "=")]
+
+
+class TestEchoRoundTrip:
+    """Rerunning a command from its ``*_config.txt`` into a new location
+    reproduces every output byte for byte."""
+
+    def test_each_command_reruns_from_its_echo(self, tmp_path, series_csv):
+        model_path = tmp_path / "m.tfl"
+        assert main(train_args(series_csv, model_path, **{"n-future": "4"})) == 0
+        one, two = tmp_path / "one", tmp_path / "two"
+        metrics = str(one / "eval" / "metrics_m_scaled.csv")
+        # (first run, the option naming where it writes, that place under one/ and two/)
+        runs = [
+            (["synth", "--length", "300", "--daily-amp", "1e8", "--seed", "3"], "--out", "synth/x.csv"),
+            (["stats", "--data", str(series_csv)], "--out", "stats/s.csv"),
+            (["augment", "--data", str(series_csv), "--copies", "2", "--levels", "2",
+              "--wavelet", "haar", "--seed", "5"], "--out-dir", "aug"),
+            (["evaluate", "--model", str(model_path), "--data", str(series_csv)],
+             "--out-dir", "eval"),
+            (["report", "--before", metrics, "--after", metrics], "--out-dir", "report"),
+        ]
+        for argv, flag, place in runs:
+            command = argv[0]
+            assert main(argv + [flag, str(one / place)]) == 0, command
+            first_dir = (one / place).parent if flag == "--out" else one / place
+            second_dir = (two / place).parent if flag == "--out" else two / place
+            echo = first_dir / f"{command}_config.txt"
+            assert main([command, "--config", str(echo), flag, str(two / place)]) == 0, command
+            names = sorted(p.name for p in first_dir.iterdir())
+            assert names == sorted(p.name for p in second_dir.iterdir()), command
+            assert len(names) > 1, command
+            key = flag[2:].replace("-", "_")
+            for name in names:
+                first, second = first_dir / name, second_dir / name
+                if name == echo.name:
+                    assert _echo_keys_except(first, key) == _echo_keys_except(second, key)
+                else:
+                    assert first.read_bytes() == second.read_bytes(), (command, name)
+
+    @pytest.mark.parametrize("command, removed", [
+        ("train", "delta=1.0"),
+        ("transfer", "delta=1.0"),
+        ("augment", "per_band=false"),
+        ("evaluate", "split=0.8"),
+        ("evaluate", "horizons=6,9,12"),
+    ])
+    def test_echo_with_removed_key_is_unknown_key(self, tmp_path, series_csv, capsys,
+                                                  monkeypatch, command, removed):
+        # echoes written while these settings existed carry them
+        from tfl import training
+
+        source = tmp_path / "src.tfl"
+        assert main(train_args(series_csv, source)) == 0
+        first = tmp_path / "one"
+        argv = {
+            "train": train_args(series_csv, first / "m.tfl"),
+            "transfer": ["transfer", "--source-model", str(source), "--data", str(series_csv),
+                         "--out", str(first / "m.tfl"), "--phase1-epochs", "1",
+                         "--phase2-epochs", "0"],
+            "augment": ["augment", "--data", str(series_csv), "--out-dir", str(first),
+                        "--copies", "1", "--levels", "2"],
+            "evaluate": ["evaluate", "--model", str(source), "--data", str(series_csv),
+                         "--out-dir", str(first)],
+        }[command]
+        assert main(argv) == 0
+        old_echo = tmp_path / "old_config.txt"
+        old_echo.write_text((first / f"{command}_config.txt").read_text() + removed + "\n")
+        capsys.readouterr()
+        trained = []
+        monkeypatch.setattr(training, "train", lambda *a, **k: trained.append(a))
+        second = tmp_path / "two"
+        out = ["--out-dir", str(second)] if command in ("augment", "evaluate") else [
+            "--out", str(second / "m.tfl")]
+        assert main([command, "--config", str(old_echo), *out]) == 1
+        key = removed.partition("=")[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {old_echo}: unknown config key(s): {key}"]
+        assert trained == [] and not second.exists()
+
+
 class TestReportCli:
     def test_report_from_two_evaluations(self, tmp_path, series_csv):
         model_path = tmp_path / "m.tfl"
@@ -324,10 +465,17 @@ class TestExitCodes:
         bad.write_text("timestamp,bps\n0,10\n300,broken\n")
         assert main(["stats", "--data", str(bad)]) == 2
 
-    def test_non_positive_huber_delta_is_data_error(self, tmp_path, series_csv, capsys):
-        assert main(train_args(series_csv, tmp_path / "m.tfl", delta="0")) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["data error: huber delta must be > 0, got 0.0"]
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--delta", "1.0"]),
+        ("transfer", ["--delta", "1.0"]),
+        ("augment", ["--per-band"]),
+        ("augment", ["--no-per-band"]),
+        ("evaluate", ["--split", "0.8"]),
+    ])
+    def test_removed_flag_is_unknown(self, capsys, command, flags):
+        assert main([command, *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: unrecognized arguments: {' '.join(flags)}"]
 
 
 # SHA-256 of (adapted model, its raw-unit metrics CSV) from TestGoldenHash,

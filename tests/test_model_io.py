@@ -144,13 +144,16 @@ class TestRejection:
         with pytest.raises(ValueError, match="magic"):
             mio.load_model(path)
 
-    def test_unsupported_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [0, mio.VERSION + 1])
+    def test_unsupported_version(self, tmp_path, version):
+        # only VERSION is read; a zeroed field is not taken for it
         path = tmp_path / "m.tfl"
         mio.save_model(make_model(), None, {}, path)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = struct.pack("<I", mio.VERSION + 1)
+        raw[4:8] = struct.pack("<I", version)
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="unsupported format version"):
+        with pytest.raises(ValueError, match=rf"unsupported format version {version} "
+                                             rf"\(this build reads {mio.VERSION}\)$"):
             mio.load_model(path)
 
     def test_truncation_rejected_everywhere(self, tmp_path):

@@ -199,7 +199,7 @@ class TestDecodeAttention:
         cache = net.forward_batch(model, [[0.6]])
         npt.assert_array_equal(cache.attn, np.ones((3, 1, 1)))
         for s in range(3):
-            npt.assert_array_equal(cache.ctx[s], cache.enc.h[0])
+            npt.assert_array_equal(cache.feats[s, :, :model.config.hidden], cache.enc.h[0])
 
     def test_identical_encoder_states_uniform_rows(self):
         # no recurrent encoder weights and a shut forget gate: a constant
@@ -221,7 +221,7 @@ class TestDecodeAttention:
             enc_stack, dec_stack, model.output.w, model.output.b[0])
         cache = net.forward_batch(model, [window])
         npt.assert_allclose(cache.attn[:, 0], expect_w, atol=1e-12)
-        npt.assert_allclose(cache.ctx[:, 0], expect_ctx, atol=1e-12)
+        npt.assert_allclose(cache.feats[:, 0, :model.config.hidden], expect_ctx, atol=1e-12)
         npt.assert_allclose(cache.preds[0], expect_preds, atol=1e-12)
 
     def test_rows_are_probability_vectors(self):
