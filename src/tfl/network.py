@@ -294,8 +294,6 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     B = dpreds.shape[0]
     dy = dpreds.T  # (n_future, B)
 
-    dout_w = np.einsum("sb,sbk->k", dy, cache.feats)
-    dout_b = np.array([dy.sum()])
     dfeats = dy[:, :, None] * model.output.w  # (n_future, B, width)
 
     denc_seq = np.zeros((cfg.n_past, B, hid))
@@ -322,7 +320,14 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
 
     return {"enc.w": enc_dw, "enc.b": enc_dpre.sum(axis=(0, 1)),
             "dec.w": dec_dw, "dec.b": dpre_sum.sum(axis=0),
-            "out.w": dout_w, "out.b": dout_b}
+            **output_grads(dpreds, cache.feats)}
+
+
+def output_grads(dpreds: np.ndarray, feats: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of the output layer alone, from dLoss/dpredictions (batch,
+    n_future) and the features it read (n_future, batch, width)."""
+    dy = dpreds.T
+    return {"out.w": np.einsum("sb,sbk->k", dy, feats), "out.b": np.array([dy.sum()])}
 
 
 def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:

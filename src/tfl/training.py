@@ -2,12 +2,18 @@
 two-phase transfer learning.
 
 A block is trained exactly when Adam holds moments for it: the optimizer
-state of a run names the trained blocks, and every other block stays
-bitwise unchanged.  Transfer re-targets a trained model: the output layer
-is re-initialized, phase 1 trains only that layer at the higher learning
-rate, phase 2 trains every block and fine-tunes at the reduced rate.
-Optimizer moments start fresh in each phase because their scale is
-coupled to the learning rate.
+state of a run names the trained blocks, each step passes gradients for
+those blocks alone, and every other block stays bitwise unchanged.
+Transfer re-targets a trained model: the output layer is re-initialized,
+phase 1 trains only that layer at the higher learning rate, phase 2
+trains every block and fine-tunes at the reduced rate.  Optimizer
+moments start fresh in each phase because their scale is coupled to the
+learning rate.
+
+Phase 1 is a linear probe on the frozen body (the LP half of LP-FT, Kumar
+et al. 2022, arXiv:2202.10054): a step runs the forward pass without the
+backprop cache and takes only the output layer's gradient, so it runs no
+BPTT; its batches and GEMM shapes are a full step's, and so are its bits.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ from .errors import NumericError
 from .network import (
     GATES,
     Seq2SeqModel,
+    _forward,
     backward_batch,
     forward_batch,
     init_output_layer,
+    output_grads,
     param_items,
 )
 from .numeric import Rng
@@ -91,17 +99,18 @@ class AdamState:
 
 def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamState) -> None:
     """Bias-corrected Adam update in place of the blocks ``state`` holds
-    moments for.  Every other block stays bitwise unchanged."""
-    params = dict(param_items(model))
-    if set(grads) != set(params):
+    moments for; ``grads`` names exactly those blocks.  Every other block
+    stays bitwise unchanged."""
+    if set(grads) != set(state.m):
         raise ValueError(
-            f"gradient tree does not match model parameters: "
-            f"{sorted(set(grads) ^ set(params))}"
+            f"gradient tree does not match the trained blocks: "
+            f"{sorted(set(grads) ^ set(state.m))}"
         )
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
+    params = dict(param_items(model))
+    for name, g in grads.items():
+        if g.shape != params[name].shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape "
+                             f"{params[name].shape} for {name}")
     state.t += 1
     correction1 = 1.0 - BETA1 ** state.t
     correction2 = 1.0 - BETA2 ** state.t
@@ -130,8 +139,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 def train(
@@ -142,7 +151,8 @@ def train(
 ) -> tuple[Seq2SeqModel, list[float]]:
     """Minibatch Adam on a copy of the model; returns (model, per-epoch loss).
 
-    Only the blocks named in ``trainable`` (None: all) are updated.
+    Only the blocks named in ``trainable`` (None: all) are updated; when
+    all are output-layer blocks, a step skips the backprop cache and BPTT.
     Deterministic for a fixed seed: each epoch's shuffle order comes from
     the toolkit's own stream, batches are visited in order, and gradient
     reduction is a fixed summation.
@@ -159,6 +169,7 @@ def train(
         )
     model = copy.deepcopy(model)
     state = AdamState.fresh(model, cfg.lr, trainable)
+    head_only = all(name.startswith("out.") for name in state.m)
     rng = Rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
@@ -167,12 +178,13 @@ def train(
         total = 0.0
         for k in range(0, len(order), cfg.batch):
             idx = order[k : k + cfg.batch]
-            cache = forward_batch(model, data.inputs[idx])
-            loss, dpred = huber(cache.preds, data.targets[idx])
+            inputs = data.inputs[idx]
+            fwd = _forward(model, inputs, keep=False) if head_only else forward_batch(model, inputs)
+            loss, dpred = huber(fwd.preds, data.targets[idx])
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite at step {state.t + 1}")
-            grads = backward_batch(model, cache, dpred)
-            adam_step(model, grads, state)
+            grads = output_grads(dpred, fwd.feats) if head_only else backward_batch(model, fwd, dpred)
+            adam_step(model, {name: grads[name] for name in state.m}, state)
             total += loss * len(idx)
         history.append(total / len(data))
     return model, history

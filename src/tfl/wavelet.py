@@ -106,8 +106,8 @@ class AugmentConfig:
 
     def __post_init__(self):
         a, b = self.factor_range
-        if not (0.0 <= a <= b):
-            raise ValueError(f"factor range must satisfy 0 <= a <= b, got [{a}, {b}]")
+        if not (0.0 <= a <= b < math.inf):
+            raise ValueError(f"factor range must satisfy 0 <= a <= b < inf, got [{a}, {b}]")
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,18 @@ def train_args(data, out, **overrides):
     for key, value in base.items():
         args += [f"--{key}", value]
     return args
+
+
+def run_cli(*argv):
+    """The command line in a child process, under Python's default warning
+    filters, so stderr is what a user sees."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys; from tfl.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+INF_FACTOR_ERROR = "data error: factor range must satisfy 0 <= a <= b < inf, got [0.5, inf]"
 
 
 class TestSynthStats:
@@ -80,6 +96,14 @@ class TestAugment:
         assert provenance[1]["filter"] == "db4"
         assert provenance[2]["copy"] == 1
 
+    def test_infinite_factor_is_one_line_data_error(self, tmp_path, series_csv):
+        out_dir = tmp_path / "aug"
+        proc = run_cli("augment", "--data", str(series_csv), "--out-dir", str(out_dir),
+                       "--copies", "1", "--factor-hi", "inf")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [INF_FACTOR_ERROR]
+        assert not out_dir.exists()
+
 
 class TestTrainEvaluate:
     def test_train_produces_artifacts(self, tmp_path, series_csv):
@@ -94,6 +118,18 @@ class TestTrainEvaluate:
         assert history[0] == "phase,epoch,lr,loss"
         assert len(history) == 3  # header + 2 epochs
         assert "seed=7" in (run_dir / "train_config.txt").read_text()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
+    def test_bad_lr_fails_before_training(self, tmp_path, series_csv, capsys, monkeypatch, lr):
+        from tfl import training
+
+        trained = []
+        monkeypatch.setattr(training, "train", lambda *a, **k: trained.append(a))
+        model_path = tmp_path / "run" / "m.tfl"
+        assert main(train_args(series_csv, model_path, lr=lr)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: lr must be finite and >= 0, got {float(lr)}"]
+        assert trained == [] and not model_path.parent.exists()
 
     def test_attention_flag(self, tmp_path, series_csv):
         model_path = tmp_path / "attn.tfl"
@@ -317,6 +353,8 @@ class TestTransferCli:
         ("--phase2-epochs", "-1", "epochs must be >= 0, got -1"),
         ("--batch", "0", "batch must be >= 1, got 0"),
         ("--augment-copies", "-2", "augment_copies must be >= 0, got -2"),
+        ("--phase1-lr", "nan", "lr must be finite and >= 0, got nan"),
+        ("--phase2-lr", "inf", "lr must be finite and >= 0, got inf"),
     ])
     def test_bad_phase_setting_fails_before_training(self, tmp_path, series_csv, capsys,
                                                       monkeypatch, flag, value, message):
@@ -332,6 +370,16 @@ class TestTransferCli:
                      "--out", str(adapted), flag, value]) == 2
         assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
         assert trained == [] and not adapted.parent.exists()
+
+    def test_infinite_augment_factor_is_one_line_data_error(self, tmp_path, series_csv):
+        source = tmp_path / "src.tfl"
+        assert main(train_args(series_csv, source)) == 0
+        adapted = tmp_path / "run" / "adapted.tfl"
+        proc = run_cli("transfer", "--source-model", str(source), "--data", str(series_csv),
+                       "--out", str(adapted), "--augment-copies", "1", "--factor-hi", "inf")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [INF_FACTOR_ERROR]
+        assert not adapted.parent.exists()
 
     def test_unknown_config_key_fails_before_training(self, tmp_path, series_csv, capsys,
                                                       monkeypatch):

@@ -1,3 +1,6 @@
+import copy
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -86,9 +89,8 @@ class TestAdamStep:
         model = small_model()
         state = tr.AdamState.fresh(model, lr=0.1, trainable=[])
         before = snapshot(model)
-        grads = {name: np.ones_like(arr) for name, arr in net.param_items(model)}
         for _ in range(3):
-            tr.adam_step(model, grads, state)
+            tr.adam_step(model, {}, state)
         assert state.m == {} and state.v == {} and state.t == 3
         for name, arr in net.param_items(model):
             npt.assert_array_equal(arr, before[name], err_msg=name)
@@ -102,7 +104,7 @@ class TestAdamStep:
         before = snapshot(model)
         for step in range(5):
             grads = {name: np.full_like(arr, 0.1 * (step + 1))
-                     for name, arr in net.param_items(model)}
+                     for name, arr in net.param_items(model) if name in trainable}
             tr.adam_step(model, grads, state)
         for name, arr in net.param_items(model):
             if name not in trainable:
@@ -124,6 +126,21 @@ class TestAdamStep:
         del grads["out.w"]
         with pytest.raises(ValueError, match="does not match"):
             tr.adam_step(model, grads, state)
+
+    def test_gradients_must_name_exactly_the_trained_blocks(self):
+        model = small_model()
+        state = tr.AdamState.fresh(model, lr=0.01, trainable=["out.w", "out.b"])
+        before = snapshot(model)
+        params = dict(net.param_items(model))
+        missing = {"out.w": np.zeros_like(params["out.w"])}
+        extra = {name: np.zeros_like(params[name]) for name in ("out.w", "out.b", "dec.b")}
+        with pytest.raises(ValueError, match=r"does not match the trained blocks: \['out\.b'\]"):
+            tr.adam_step(model, missing, state)
+        with pytest.raises(ValueError, match=r"does not match the trained blocks: \['dec\.b'\]"):
+            tr.adam_step(model, extra, state)
+        assert state.t == 0
+        for name, arr in net.param_items(model):
+            npt.assert_array_equal(arr, before[name], err_msg=name)
 
 
 class TestTrain:
@@ -161,6 +178,11 @@ class TestTrain:
         data = make_windows(np.sin(np.linspace(0, 12, 80)) * 0.4 + 0.5, 8, 3)
         _, history = tr.train(model, data, tr.TrainConfig(epochs=10, batch=8, lr=0.01, seed=1))
         assert history[-1] < history[0]
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -0.001])
+    def test_non_finite_or_negative_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match=f"lr must be finite and >= 0, got {lr}"):
+            tr.TrainConfig(lr=lr)
 
     def test_empty_dataset_rejected(self):
         empty = WindowedDataset(np.empty((0, 8)), np.empty((0, 3)), 8, 3)
@@ -236,6 +258,64 @@ class TestTransfer:
         for name, arr in net.param_items(model):
             npt.assert_array_equal(src[name], before[name], err_msg=name)
             assert not np.shares_memory(arr, src[name]), name
+
+def reference_head_phase(source, data, epochs, batch, lr, seed):
+    """Transfer phase 1 as a full training step does it: the cached forward,
+    BPTT through the frozen body, then Adam on the output layer alone."""
+    model = copy.deepcopy(source)
+    model.output = net.init_output_layer(model.config, Rng(seed))
+    head = ("out.w", "out.b")
+    state = tr.AdamState.fresh(model, lr, head)
+    rng = Rng(seed)
+    history = []
+    for _ in range(epochs):
+        order = np.arange(len(data))
+        rng.shuffle(order)
+        total = 0.0
+        for k in range(0, len(order), batch):
+            idx = order[k : k + batch]
+            cache = net.forward_batch(model, data.inputs[idx])
+            loss, dpred = tr.huber(cache.preds, data.targets[idx])
+            grads = net.backward_batch(model, cache, dpred)
+            tr.adam_step(model, {name: grads[name] for name in head}, state)
+            total += loss * len(idx)
+        history.append(total / len(data))
+    return model, history
+
+
+class TestHeadPhase:
+    """Phase 1 takes the output layer's gradient from a cache-free forward;
+    it must reproduce the full-BPTT head step bit for bit."""
+
+    # (windows, batch): the last batch of an epoch holds 1, 2, 3, 5 or all rows
+    SIZES = [(33, 32), (34, 32), (35, 32), (37, 32), (64, 32)]
+
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("hidden", [3, 24, 100])
+    @pytest.mark.parametrize("n, batch", SIZES)
+    def test_matches_full_bptt_reference(self, attention, hidden, n, batch):
+        source = small_model(attention=attention, seed=hidden + n, hidden=hidden)
+        data = make_windows(Rng(n).uniform_array(n + 8 + 3 - 1, 0, 1), 8, 3)
+        assert len(data) == n
+        ref, ref_history = reference_head_phase(source, data, 2, batch, 0.01, seed=9)
+        model, logs = tr.transfer(source, data, [(2, 0.01), (0, 0.001)], batch=batch, seed=9)
+        npt.assert_array_equal(model.output.w, ref.output.w)
+        npt.assert_array_equal(model.output.b, ref.output.b)
+        assert logs[0].history == ref_history
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_phase1_runs_no_backprop(self, monkeypatch, attention):
+        def refuse(*args, **kwargs):
+            raise AssertionError("phase 1 ran the full backprop path")
+
+        monkeypatch.setattr(tr, "forward_batch", refuse)
+        monkeypatch.setattr(tr, "backward_batch", refuse)
+        source = small_model(attention=attention, seed=4)
+        data = make_windows(Rng(3).uniform_array(60, 0, 1), 8, 3)
+        model, logs = tr.transfer(source, data, [(2, 0.01), (0, 0.001)], batch=8, seed=7)
+        assert len(logs[0].history) == 2
+        assert not np.array_equal(model.output.w, source.output.w)
+
 
 class TestGradientCheck:
     def test_plain_model_matches_finite_differences(self):

@@ -179,6 +179,8 @@ class TestPerturb:
             cfg_for("haar", factor_range=(-0.1, 1.0))
         with pytest.raises(ValueError, match="0 <= a <= b"):
             cfg_for("haar", factor_range=(1.0, 0.5))
+        with pytest.raises(ValueError, match="b < inf"):
+            cfg_for("haar", factor_range=(0.5, float("inf")))
 
 
 class TestAugmentSeries:
