@@ -82,7 +82,10 @@ def load_config_file(path) -> dict[str, str]:
                 if "=" not in line:
                     raise UsageError(f"{path}: line {lineno}: expected key=value")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key in values:
+                    raise UsageError(f"{path}: line {lineno}: repeated key '{key}'")
+                values[key] = value.strip()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     return values

@@ -82,14 +82,20 @@ class WindowedDataset:
 
     inputs: np.ndarray   # (num_windows, n_past)
     targets: np.ndarray  # (num_windows, n_future)
-    n_past: int
-    n_future: int
 
     def __post_init__(self):
         if len(self.inputs) != len(self.targets):
             raise ValueError(
                 f"inputs/targets count mismatch: {len(self.inputs)} vs {len(self.targets)}"
             )
+
+    @property
+    def n_past(self) -> int:
+        return self.inputs.shape[1]
+
+    @property
+    def n_future(self) -> int:
+        return self.targets.shape[1]
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -269,12 +275,7 @@ def make_windows(values: np.ndarray, n_past: int, n_future: int) -> WindowedData
             f"need at least n_past + n_future = {needed}"
         )
     windows = np.lib.stride_tricks.sliding_window_view(values, needed)
-    return WindowedDataset(
-        inputs=windows[:, :n_past].copy(),
-        targets=windows[:, n_past:].copy(),
-        n_past=n_past,
-        n_future=n_future,
-    )
+    return WindowedDataset(inputs=windows[:, :n_past].copy(), targets=windows[:, n_past:].copy())
 
 
 def concat_windows(parts: list[WindowedDataset]) -> WindowedDataset:
@@ -288,8 +289,6 @@ def concat_windows(parts: list[WindowedDataset]) -> WindowedDataset:
     return WindowedDataset(
         inputs=np.concatenate([p.inputs for p in parts]),
         targets=np.concatenate([p.targets for p in parts]),
-        n_past=first.n_past,
-        n_future=first.n_future,
     )
 
 
@@ -322,6 +321,10 @@ class SynthProfile:
     trend_per_day: float = 0.0
     noise_std: float = 0.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
 
 
 def synth(profile: SynthProfile, length: int, start: datetime = DEFAULT_START) -> TimeSeries:

@@ -52,13 +52,6 @@ def wape(pred, obs) -> float:
     return float(np.sum(np.abs(pred - obs)) / denom * 100.0)
 
 
-def accuracy(wape_pct: float) -> float:
-    """100 - WAPE, floored at zero."""
-    if wape_pct < 0:
-        raise ValueError(f"WAPE must be >= 0, got {wape_pct}")
-    return max(0.0, 100.0 - wape_pct)
-
-
 @dataclass
 class StepMetrics:
     step: int  # 1-based forecast step; 0 marks the average row
@@ -98,12 +91,6 @@ def per_step_table(predictions: np.ndarray, targets: np.ndarray) -> MetricsTable
         wape=float(np.mean([r.wape for r in rows])),
     )
     return MetricsTable(horizon=predictions.shape[1], per_step=rows, average=average)
-
-
-def persistence_forecast(inputs: np.ndarray, n_future: int) -> np.ndarray:
-    """Naive baseline: repeat each window's last observed value."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    return np.repeat(inputs[:, -1:], n_future, axis=1)
 
 
 def iqr(values) -> tuple[float, float, float]:

@@ -12,10 +12,11 @@ Layout (all integers little-endian uint32 unless noted):
                     ndim u32, dims u32 x ndim,
                     data float64 little-endian, row-major
 
-Each stacked LSTM array is stored as one block per gate, in ``GATES``
-order (``enc.wf`` ... ``dec.bo``), then ``out.w`` and ``out.b``; the split
-exists only in the file.  Canonical JSON plus fixed block order makes
-load -> save byte-identical.
+Blocks follow ``network.PARAMS``.  Each stacked LSTM array is stored as
+one block per gate, in ``GATES`` order (``enc.wf`` ... ``dec.bo``), then
+``out.w`` and ``out.b``; the split exists only in the file, and every
+block's shape follows from ``network.param_shapes``.  Canonical JSON plus
+fixed block order makes load -> save byte-identical.
 Transferred models carry the SHA-256 of their parent file in provenance.
 """
 
@@ -32,15 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ScalerParams
-from .network import (
-    GATES,
-    DenseParams,
-    LstmParams,
-    ModelConfig,
-    Seq2SeqModel,
-    output_width,
-    param_items,
-)
+from .network import GATES, PARAMS, ModelConfig, Seq2SeqModel, param_shapes
 
 MAGIC = b"TFL1"
 VERSION = 1
@@ -78,9 +71,9 @@ def save_model(model: Seq2SeqModel, scaler: ScalerParams | None, provenance: dic
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         items = []
-        for param, arr in param_items(model):
+        for param in PARAMS:
             names = _block_names(param)
-            items += zip(names, np.split(arr, len(names)))
+            items += zip(names, np.split(model.params[param], len(names)))
         fh.write(struct.pack("<I", len(items)))
         for name, arr in items:
             encoded = name.encode("utf-8")
@@ -120,14 +113,12 @@ def _block_names(param: str) -> list[str]:
 
 
 def _block_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every weight block the config implies."""
-    hid = config.hidden
+    """Name and shape of every weight block the config implies: each of a
+    parameter's blocks holds an equal share of its rows."""
     shapes = {}
-    for prefix, width in (("enc", 1), ("dec", hid)):
-        shapes.update({name: (hid, hid + width) for name in _block_names(prefix + ".w")})
-        shapes.update({name: (hid,) for name in _block_names(prefix + ".b")})
-    shapes["out.w"] = (output_width(config),)
-    shapes["out.b"] = (1,)
+    for param, (rows, *cols) in param_shapes(config).items():
+        names = _block_names(param)
+        shapes.update({name: (rows // len(names), *cols) for name in names})
     return shapes
 
 
@@ -194,13 +185,6 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
 
 def _assemble(config: ModelConfig, blocks: dict[str, np.ndarray]) -> Seq2SeqModel:
     """Join the per-gate blocks of the file into the in-memory layout."""
-
-    def joined(param: str) -> np.ndarray:
-        return np.concatenate([blocks[name] for name in _block_names(param)])
-
-    return Seq2SeqModel(
-        config=config,
-        encoder=LstmParams(w=joined("enc.w"), b=joined("enc.b")),
-        decoder=LstmParams(w=joined("dec.w"), b=joined("dec.b")),
-        output=DenseParams(w=blocks["out.w"], b=blocks["out.b"]),
-    )
+    params = {param: np.concatenate([blocks[name] for name in _block_names(param)])
+              for param in PARAMS}
+    return Seq2SeqModel(config=config, params=params)

@@ -14,8 +14,10 @@ hidden states, softmax-normalized over encoder positions.
 Everything runs batched, time-major (step, batch, width); a single
 window is a batch of one.  Each LSTM keeps its four gates stacked in one
 weight matrix, so a step is one GEMM (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946, section 3).  Those stacked arrays are the trainable
-blocks; only the model file splits them per gate.
+arXiv:1604.01946, section 3).  A model is its config plus one flat dict of
+trainable arrays keyed by ``PARAMS``; the optimizer, the gradients and the
+model file all walk that dict, and only the file splits the stacked arrays
+per gate.  ``param_shapes`` is the one place the layer widths are stated.
 
 The decoder's input is h_final at every step, so its input projection
 h_final @ W_x.T + b is formed once per batch as a (batch, 4 hidden) bias
@@ -51,41 +53,32 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass
-class LstmParams:
-    """One LSTM's weights, the gates stacked in ``GATES`` order.
-
-    Gate preactivations are W @ [h_prev, x] + b; rows k*hidden to
-    (k+1)*hidden of W and b belong to gate ``GATES[k]``.
-    """
-
-    w: np.ndarray  # (4 hidden, hidden + input)
-    b: np.ndarray  # (4 hidden,)
-
-    def __post_init__(self):
-        rows, cols = self.w.shape
-        if rows % len(GATES) or self.b.shape != (rows,) or cols <= rows // len(GATES):
-            raise ValueError(f"inconsistent LSTM shapes: W {self.w.shape}, b {self.b.shape}")
-
-
-@dataclass
-class DenseParams:
-    """Shared affine output layer: scalar = w . features + b."""
-
-    w: np.ndarray  # (width,)
-    b: np.ndarray  # (1,)
+# a model's trainable arrays, in the order gradients and the model file list them
+PARAMS = ("enc.w", "enc.b", "dec.w", "dec.b", "out.w", "out.b")
 
 
 @dataclass
 class Seq2SeqModel:
+    """A model is its config plus its trainable arrays, keyed by ``PARAMS``.
+    An LSTM's gate preactivations are W @ [h_prev, x] + b; rows k*hidden to
+    (k+1)*hidden of W and b belong to gate ``GATES[k]``.  The output layer
+    maps features to one scalar: out.w . features + out.b."""
+
     config: ModelConfig
-    encoder: LstmParams
-    decoder: LstmParams
-    output: DenseParams
+    params: dict[str, np.ndarray]
 
 
-def output_width(config: ModelConfig) -> int:
-    return 2 * config.hidden if config.attention else config.hidden
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every trainable array, in ``PARAMS`` order.  Inputs per step:
+    encoder 1, decoder ``hidden`` (h_final); output layer: decoder h, after
+    the attention context when there is one."""
+    hid = config.hidden
+    rows = len(GATES) * hid
+    return {
+        "enc.w": (rows, hid + 1), "enc.b": (rows,),
+        "dec.w": (rows, hid + hid), "dec.b": (rows,),
+        "out.w": (2 * hid if config.attention else hid,), "out.b": (1,),
+    }
 
 
 def _gate_blocks(stacked: np.ndarray) -> list[np.ndarray]:
@@ -94,44 +87,30 @@ def _gate_blocks(stacked: np.ndarray) -> list[np.ndarray]:
     return [stacked[:, k * hid:(k + 1) * hid] for k in range(len(GATES))]
 
 
-def param_items(model: Seq2SeqModel) -> list[tuple[str, np.ndarray]]:
-    """Flat (name, array) view of every learnable block, fixed order.
-
-    The arrays are the model's own, so in-place updates through them
-    update the model.
-    """
-    return [
-        ("enc.w", model.encoder.w), ("enc.b", model.encoder.b),
-        ("dec.w", model.decoder.w), ("dec.b", model.decoder.b),
-        ("out.w", model.output.w), ("out.b", model.output.b),
-    ]
-
-
 def _glorot(rows: int, cols: int, rng: Rng) -> np.ndarray:
     bound = np.sqrt(6.0 / (rows + cols))
     return rng.uniform_array(rows * cols, -bound, bound).reshape(rows, cols)
-
-
-def _init_lstm(hidden: int, input_width: int, rng: Rng) -> LstmParams:
-    # one Glorot draw per gate block, each bounded by the block's own fan-in/out
-    w = np.concatenate([_glorot(hidden, hidden + input_width, rng) for _ in GATES])
-    return LstmParams(w=w, b=np.zeros(len(GATES) * hidden))
 
 
 def init(config: ModelConfig, rng: Rng) -> Seq2SeqModel:
     """Glorot-uniform weights, zero biases; draw order is fixed (encoder
     gates f,i,c,o row-major, then decoder, then output) so a seed pins the
     model bitwise."""
-    encoder = _init_lstm(config.hidden, 1, rng)
-    decoder = _init_lstm(config.hidden, config.hidden, rng)
-    return Seq2SeqModel(config=config, encoder=encoder, decoder=decoder,
-                        output=init_output_layer(config, rng))
+    shapes = param_shapes(config)
+    params = {}
+    for lstm in ("enc", "dec"):
+        rows, cols = shapes[lstm + ".w"]
+        # one Glorot draw per gate block, each bounded by the block's own fan-in/out
+        params[lstm + ".w"] = np.concatenate([_glorot(rows // len(GATES), cols, rng) for _ in GATES])
+        params[lstm + ".b"] = np.zeros(rows)
+    params.update(init_output_layer(config, rng))
+    return Seq2SeqModel(config=config, params=params)
 
 
-def init_output_layer(config: ModelConfig, rng: Rng) -> DenseParams:
-    """Fresh output layer (used when re-targeting a trained model)."""
-    width = output_width(config)
-    return DenseParams(w=_glorot(1, width, rng).reshape(width), b=np.zeros(1))
+def init_output_layer(config: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
+    """Fresh ``out.w`` and ``out.b`` (used when re-targeting a trained model)."""
+    (width,) = param_shapes(config)["out.w"]
+    return {"out.w": _glorot(1, width, rng).reshape(width), "out.b": np.zeros(1)}
 
 
 @dataclass
@@ -249,7 +228,7 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     """The forward pass; ``keep=False`` skips the per-step backprop cache and
     keeps only the hidden and cell sequences that attention and the decoder's
     initial state read."""
-    cfg = model.config
+    cfg, p = model.config, model.params
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_past:
         raise ValueError(f"expected inputs (batch, {cfg.n_past}), got {inputs.shape}")
@@ -257,10 +236,10 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     hid = cfg.hidden
     xs_enc = inputs.T[:, :, None]  # (T, B, 1)
     zero = np.zeros((B, hid))
-    enc = _run_lstm(model.encoder.w, model.encoder.b, xs_enc, zero, zero, keep)
+    enc = _run_lstm(p["enc.w"], p["enc.b"], xs_enc, zero, zero, keep)
     h_final, c_final = enc.h[-1], enc.c[-1]
-    w_h, w_x = np.hsplit(model.decoder.w, [hid])
-    dec_bias = h_final @ w_x.T + model.decoder.b  # the constant input, projected once
+    w_h, w_x = np.hsplit(p["dec.w"], [hid])
+    dec_bias = h_final @ w_x.T + p["dec.b"]  # the constant input, projected once
     dec = _run_lstm(w_h, dec_bias, np.empty((cfg.n_future, B, 0)), h_final, c_final, keep)
     if cfg.attention:
         enc_b = enc.h.transpose(1, 0, 2)  # (B, n_past, hidden): matmul batches over windows
@@ -271,7 +250,7 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     else:
         attn = None
         feats = dec.h
-    preds = (feats @ model.output.w).T + model.output.b[0]  # (B, n_future)
+    preds = (feats @ p["out.w"]).T + p["out.b"][0]  # (B, n_future)
     assert_finite(preds, "forward predictions")
     return ForwardCache(enc=enc, dec=dec, preds=preds, attn=attn, feats=feats)
 
@@ -283,7 +262,7 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     through the attention path and through both the decoder's repeated
     input and its initial state back into the encoder.
     """
-    cfg = model.config
+    cfg, p = model.config, model.params
     if not isinstance(cache, ForwardCache) or any(
             len(seq.gates) != len(seq.h) for seq in (cache.enc, cache.dec)):
         raise ValueError("backward requires the full ForwardCache from forward_batch")
@@ -294,7 +273,7 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     B = dpreds.shape[0]
     dy = dpreds.T  # (n_future, B)
 
-    dfeats = dy[:, :, None] * model.output.w  # (n_future, B, width)
+    dfeats = dy[:, :, None] * p["out.w"]  # (n_future, B, width)
 
     denc_seq = np.zeros((cfg.n_past, B, hid))
     if cfg.attention:
@@ -310,13 +289,13 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
         ddec_seq = dfeats
 
     zero = np.zeros((B, hid))
-    w_h, w_x = np.hsplit(model.decoder.w, [hid])
+    w_h, w_x = np.hsplit(p["dec.w"], [hid])
     dec_dpre, dw_h, ddec_h0, ddec_c0 = _lstm_backward(w_h, cache.dec, ddec_seq, zero, zero)
     # h_final fed every step through the one projection and started the recurrence
     dpre_sum = dec_dpre.sum(axis=0)  # (B, 4 hidden)
     dec_dw = np.hstack([dw_h, dpre_sum.T @ cache.enc.h[-1]])
     dh_final = dpre_sum @ w_x + ddec_h0
-    enc_dpre, enc_dw, _, _ = _lstm_backward(model.encoder.w, cache.enc, denc_seq, dh_final, ddec_c0)
+    enc_dpre, enc_dw, _, _ = _lstm_backward(p["enc.w"], cache.enc, denc_seq, dh_final, ddec_c0)
 
     return {"enc.w": enc_dw, "enc.b": enc_dpre.sum(axis=(0, 1)),
             "dec.w": dec_dw, "dec.b": dpre_sum.sum(axis=0),

@@ -28,14 +28,12 @@ import numpy as np
 from .dataset import WindowedDataset
 from .errors import NumericError
 from .network import (
-    GATES,
     Seq2SeqModel,
     _forward,
     backward_batch,
     forward_batch,
     init_output_layer,
     output_grads,
-    param_items,
 )
 from .numeric import Rng
 
@@ -83,17 +81,15 @@ class AdamState:
 
     @classmethod
     def fresh(cls, model: Seq2SeqModel, lr: float, trainable: Iterable[str] | None = None) -> "AdamState":
-        """Zero moments for the ``param_items`` blocks named in ``trainable``
+        """Zero moments for the ``model.params`` blocks named in ``trainable``
         (None names them all); only these blocks are trained."""
-        params = param_items(model)
-        if trainable is not None:
-            trainable = set(trainable)
-            unknown = trainable - {name for name, _ in params}
-            if unknown:
-                raise ValueError(f"unknown trainable block(s): {sorted(unknown)}")
-            params = [(name, arr) for name, arr in params if name in trainable]
-        m = {name: np.zeros_like(arr) for name, arr in params}
-        v = {name: np.zeros_like(arr) for name, arr in params}
+        names = set(model.params if trainable is None else trainable)
+        unknown = names - set(model.params)
+        if unknown:
+            raise ValueError(f"unknown trainable block(s): {sorted(unknown)}")
+        params = {name: arr for name, arr in model.params.items() if name in names}
+        m = {name: np.zeros_like(arr) for name, arr in params.items()}
+        v = {name: np.zeros_like(arr) for name, arr in params.items()}
         return cls(m=m, v=v, t=0, lr=lr)
 
 
@@ -106,7 +102,7 @@ def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamStat
             f"gradient tree does not match the trained blocks: "
             f"{sorted(set(grads) ^ set(state.m))}"
         )
-    params = dict(param_items(model))
+    params = model.params
     for name, g in grads.items():
         if g.shape != params[name].shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
@@ -224,69 +220,13 @@ def transfer(
         raise ValueError("transfer config mismatch: " + "; ".join(mismatches))
 
     model = copy.deepcopy(source)
-    model.output = init_output_layer(mc, Rng(seed))
-    head = [name for name, _ in param_items(model) if name.startswith("out.")]
+    head = init_output_layer(mc, Rng(seed))
+    model.params.update(head)
     logs = []
-    for name, cfg, trainable in (("freeze-body", cfg1, head), ("fine-tune", cfg2, None)):
+    for name, cfg, trainable in (("freeze-body", cfg1, list(head)), ("fine-tune", cfg2, None)):
         history = []
         if cfg.epochs > 0:
             model, history = train(model, data, cfg, trainable)
         logs.append(PhaseLog(name, cfg.lr, history))
     return model, logs
 
-
-def gradient_check(
-    model: Seq2SeqModel,
-    window: np.ndarray,
-    targets: np.ndarray,
-    epsilon: float,
-    samples_per_block: int = 20,
-    seed: int = 0,
-) -> float:
-    """Worst relative error between backprop and central finite differences
-    of the Huber loss, over a random parameter sample from every block;
-    each gate's rows of an LSTM array count as a block of their own.
-
-    Relative error is |a - b| / max(|a|, |b|); entries where both sides are
-    below 1e-8 (beneath finite-difference resolution) count as exact.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    window = np.asarray(window, dtype=np.float64).reshape(-1)
-    targets = np.asarray(targets, dtype=np.float64).reshape(-1)
-
-    cache = forward_batch(model, window[None, :])
-    _, dpred = huber(cache.preds[0], targets)
-    grads = backward_batch(model, cache, dpred[None, :])
-
-    def loss_at() -> float:
-        preds = forward_batch(model, window[None, :]).preds[0]
-        value, _ = huber(preds, targets)
-        return value
-
-    rng = Rng(seed)
-    worst = 0.0
-    blocks = []
-    for name, arr in param_items(model):
-        pieces = 1 if name.startswith("out.") else len(GATES)
-        blocks += zip(np.split(arr, pieces), np.split(grads[name], pieces))
-    for arr, grad in blocks:
-        flat = arr.reshape(-1)  # a view: row blocks of C-ordered arrays are contiguous
-        count = min(samples_per_block, flat.size)
-        picked: set[int] = set()
-        while len(picked) < count:
-            picked.add(int(rng.next_u64() % flat.size))
-        for idx in sorted(picked):
-            orig = flat[idx]
-            flat[idx] = orig + epsilon
-            up = loss_at()
-            flat[idx] = orig - epsilon
-            down = loss_at()
-            flat[idx] = orig
-            fd = (up - down) / (2.0 * epsilon)
-            bp = grad.reshape(-1)[idx]
-            scale = max(abs(fd), abs(bp))
-            if scale < 1e-8:
-                continue
-            worst = max(worst, abs(fd - bp) / scale)
-    return worst

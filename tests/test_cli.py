@@ -74,6 +74,25 @@ class TestSynthStats:
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.tfl"),
                      "--hidden", "4", "--epochs", "1"]) == 0
 
+    def test_negative_noise_is_one_line_data_error(self, tmp_path):
+        out = tmp_path / "a" / "s.csv"
+        proc = run_cli("synth", "--out", str(out), "--length", "600", "--noise-std=-5e7",
+                       "--seed", "3")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "data error: noise_std must be finite and >= 0, got -50000000.0"]
+        assert proc.stdout == "" and not out.parent.exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "-1"])
+    def test_bad_noise_from_config_file_writes_nothing(self, tmp_path, capsys, noise):
+        config = tmp_path / "synth.conf"
+        config.write_text(f"length=600\nnoise_std={noise}\n")
+        out = tmp_path / "a" / "s.csv"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: noise_std must be finite and >= 0, got {float(noise)}"]
+        assert not out.parent.exists()
+
     def test_stats_prints_and_writes(self, tmp_path, series_csv, capsys):
         out = tmp_path / "stats.csv"
         assert main(["stats", "--data", str(series_csv), "--out", str(out)]) == 0
@@ -263,6 +282,16 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err.splitlines() == [f"error: {config}: {key}: {reason}"]
         assert not model_path.parent.exists()
 
+    def test_repeated_config_key_is_usage_error(self, tmp_path, series_csv, capsys):
+        config = tmp_path / "train.conf"
+        config.write_text("epochs=5\nhidden=4\n# a comment\n epochs = 1\n")
+        model_path = tmp_path / "run" / "m.tfl"
+        assert main(["train", "--config", str(config), "--data", str(series_csv),
+                     "--out", str(model_path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {config}: line 4: repeated key 'epochs'"]
+        assert not model_path.parent.exists()
+
     def test_rerun_from_echoed_config(self, tmp_path, series_csv):
         first = tmp_path / "one" / "m.tfl"
         assert main(train_args(series_csv, first)) == 0
@@ -271,8 +300,9 @@ class TestTrainEvaluate:
                      "--out", str(second)]) == 0
         a, _, _ = mio.load_model(first)
         b, _, _ = mio.load_model(second)
-        for (name, pa), (_, pb) in zip(net.param_items(a), net.param_items(b)):
-            np.testing.assert_array_equal(pa, pb, err_msg=name)
+        assert list(a.params) == list(b.params)
+        for name, arr in a.params.items():
+            np.testing.assert_array_equal(arr, b.params[name], err_msg=name)
 
     def test_scaler_never_sees_test_values(self, tmp_path, series_csv, monkeypatch):
         # instrument the fit: it must only receive the chronological train side

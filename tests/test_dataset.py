@@ -302,6 +302,14 @@ class TestMakeWindows:
         npt.assert_array_equal(windows.inputs[0], [0.0, 1.0, 2.0])
         npt.assert_array_equal(windows.targets[0], [3.0, 4.0])
 
+    def test_widths_are_read_from_the_arrays(self):
+        windows = ds.make_windows(np.arange(10.0), 3, 2)
+        assert (windows.n_past, windows.n_future) == (3, 2)
+        with pytest.raises(AttributeError):
+            windows.n_past = 4
+        empty = ds.WindowedDataset(np.empty((0, 8)), np.empty((0, 3)))
+        assert (empty.n_past, empty.n_future) == (8, 3)
+
     def test_too_short_reports_minimum(self):
         with pytest.raises(DataError, match="n_past \\+ n_future = 5"):
             ds.make_windows(np.arange(4.0), 3, 2)
@@ -389,6 +397,11 @@ class TestSynth:
         profile = ds.SynthProfile(base_bps=1e8, daily_amp=3e7, noise_std=1e6, seed=9)
         npt.assert_array_equal(ds.synth(profile, 500).values,
                                ds.synth(profile, 500).values)
+
+    @pytest.mark.parametrize("noise", [-1.0, -5e7, float("nan"), float("inf")])
+    def test_negative_or_non_finite_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match=f"noise_std must be finite and >= 0, got {noise}"):
+            ds.SynthProfile(base_bps=5e8, noise_std=noise)
 
     def test_negative_profile_rejected(self):
         profile = ds.SynthProfile(base_bps=1e6, daily_amp=2e6)

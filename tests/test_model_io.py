@@ -87,8 +87,9 @@ class TestRoundTrip:
         assert loaded.config == model.config
         assert (scaler.min, scaler.max) == (1.0, 9.0)
         assert provenance == PROV
-        for (name, a), (_, b) in zip(net.param_items(model), net.param_items(loaded)):
-            npt.assert_array_equal(a, b, err_msg=name)
+        assert list(loaded.params) == list(model.params)
+        for name, arr in model.params.items():
+            npt.assert_array_equal(loaded.params[name], arr, err_msg=name)
 
     def test_load_then_save_is_byte_identical(self, tmp_path):
         model = make_model()
@@ -115,11 +116,11 @@ class TestRoundTrip:
         expected += [("out.w", (2 * hid if attention else hid,)), ("out.b", (1,))]
         assert [(name, data.shape) for name, data in blocks] == expected
         data = dict(blocks)
-        for prefix, lstm in (("enc", model.encoder), ("dec", model.decoder)):
+        for prefix in ("enc", "dec"):
             for k, g in enumerate("fico"):
                 rows = slice(k * hid, (k + 1) * hid)
-                npt.assert_array_equal(data[f"{prefix}.w{g}"], lstm.w[rows])
-                npt.assert_array_equal(data[f"{prefix}.b{g}"], lstm.b[rows])
+                npt.assert_array_equal(data[f"{prefix}.w{g}"], model.params[prefix + ".w"][rows])
+                npt.assert_array_equal(data[f"{prefix}.b{g}"], model.params[prefix + ".b"][rows])
 
     def test_missing_scaler_roundtrips_as_none(self, tmp_path):
         path = tmp_path / "m.tfl"

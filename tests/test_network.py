@@ -9,32 +9,31 @@ from tfl import network as net
 from tfl.numeric import Rng, sigmoid
 
 
-def zero_lstm(hidden: int, input_width: int) -> net.LstmParams:
-    return net.LstmParams(w=np.zeros((4 * hidden, hidden + input_width)),
-                          b=np.zeros(4 * hidden))
+def zero_lstm(hidden: int, input_width: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros((4 * hidden, hidden + input_width)), np.zeros(4 * hidden)
 
 
 def zero_model(n_past=4, n_future=3, hidden=5, attention=False) -> net.Seq2SeqModel:
     cfg = net.ModelConfig(n_past=n_past, n_future=n_future, hidden=hidden,
                           attention=attention)
-    width = net.output_width(cfg)
     return net.Seq2SeqModel(
-        config=cfg,
-        encoder=zero_lstm(hidden, 1),
-        decoder=zero_lstm(hidden, hidden),
-        output=net.DenseParams(w=np.zeros(width), b=np.zeros(1)),
-    )
+        config=cfg, params={name: np.zeros(shape) for name, shape in net.param_shapes(cfg).items()})
 
 
-def ref_step(params: net.LstmParams, x, h, c):
+def lstm(model: net.Seq2SeqModel, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    return model.params[prefix + ".w"], model.params[prefix + ".b"]
+
+
+def ref_step(params, x, h, c):
     """Independent per-vector LSTM cell, one matrix-vector product per gate
     (gate k owns rows k*hidden:(k+1)*hidden).  Returns (h, c, gates)."""
-    hid = len(params.b) // 4
+    w, b = params
+    hid = len(b) // 4
     z = np.concatenate([h, np.asarray(x, dtype=np.float64).reshape(-1)])
 
     def gate(k, activation):
         rows = slice(k * hid, (k + 1) * hid)
-        return activation(params.w[rows] @ z + params.b[rows])
+        return activation(w[rows] @ z + b[rows])
 
     f, i, g, o = gate(0, sigmoid), gate(1, sigmoid), gate(2, np.tanh), gate(3, sigmoid)
     c = f * c + i * g
@@ -46,7 +45,7 @@ def ref_encode(model: net.Seq2SeqModel, window):
     h = c = np.zeros(model.config.hidden)
     stack = []
     for v in window:
-        h, c, _ = ref_step(model.encoder, [v], h, c)
+        h, c, _ = ref_step(lstm(model, "enc"), [v], h, c)
         stack.append(h)
     return np.array(stack), h, c
 
@@ -56,7 +55,7 @@ def ref_decode(model: net.Seq2SeqModel, h_final, c_final):
     h, c = h_final, c_final
     stack = []
     for _ in range(model.config.n_future):
-        h, c, _ = ref_step(model.decoder, h_final, h, c)
+        h, c, _ = ref_step(lstm(model, "dec"), h_final, h, c)
         stack.append(h)
     return np.array(stack)
 
@@ -64,8 +63,9 @@ def ref_decode(model: net.Seq2SeqModel, h_final, c_final):
 def run_cell(params, xs):
     """One batched LSTM run from the zero state over a single sequence xs
     of shape (T, input)."""
-    zero = np.zeros((1, len(params.b) // 4))
-    return net._run_lstm(params.w, params.b, np.asarray(xs, dtype=np.float64)[:, None, :],
+    w, b = params
+    zero = np.zeros((1, len(b) // 4))
+    return net._run_lstm(w, b, np.asarray(xs, dtype=np.float64)[:, None, :],
                          zero, zero)
 
 
@@ -83,7 +83,7 @@ class TestLstmStep:
         # zero weights everywhere, candidate bias atanh(0.5):
         # gates = 0.5, candidate = 0.5 -> c = 0.25, h = 0.5 * tanh(0.25)
         params = zero_lstm(1, 1)
-        params.b[2] = math.atanh(0.5)
+        params[1][2] = math.atanh(0.5)
         cache = run_cell(params, [[0.3]])
         npt.assert_allclose(cache.c[0, 0], [0.25], atol=1e-15)
         npt.assert_allclose(cache.h[0, 0], [0.5 * math.tanh(0.25)], atol=1e-15)
@@ -91,7 +91,7 @@ class TestLstmStep:
     def test_two_steps_match_manual_recurrence(self):
         rng = Rng(11)
         hidden = 4
-        params = net._init_lstm(hidden, 1, rng)
+        params = lstm(net.init(net.ModelConfig(n_past=2, n_future=1, hidden=hidden), rng), "enc")
         x = np.array([0.6])
         cache = run_cell(params, [x, x])
         h1, c1, gates1 = ref_step(params, x, np.zeros(hidden), np.zeros(hidden))
@@ -100,14 +100,6 @@ class TestLstmStep:
         npt.assert_allclose(cache.gates[0, 0], np.concatenate(gates1), atol=1e-15)
         npt.assert_allclose(cache.h[1, 0], h2, atol=1e-15)
         npt.assert_allclose(cache.c[1, 0], c2, atol=1e-15)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="inconsistent LSTM shapes"):
-            net.LstmParams(w=np.zeros((10, 4)), b=np.zeros(10))  # 10 rows: not 4 gates
-        with pytest.raises(ValueError, match="inconsistent LSTM shapes"):
-            net.LstmParams(w=np.zeros((12, 4)), b=np.zeros(3))
-        with pytest.raises(ValueError, match="inconsistent LSTM shapes"):
-            net.LstmParams(w=np.zeros((12, 3)), b=np.zeros(12))  # no input columns
 
 
 class TestEncode:
@@ -151,7 +143,7 @@ class TestEncode:
 class TestDecodePlain:
     def test_zero_params_bias_only(self):
         model = zero_model(n_future=3)
-        model.output.b[0] = 0.37
+        model.params["out.b"][0] = 0.37
         preds = net.forward_batch(model, [[0.5, 0.1, 0.9, 0.2]]).preds
         npt.assert_array_equal(preds, np.full((1, 3), 0.37))
 
@@ -160,8 +152,8 @@ class TestDecodePlain:
         window = [0.2, 0.8, 0.5]
         _, h_final, c_final = ref_encode(model, window)
         # one decoder step by hand: input and initial hidden are both h_T
-        h, _, _ = ref_step(model.decoder, h_final, h_final, c_final)
-        expected = h @ model.output.w + model.output.b[0]
+        h, _, _ = ref_step(lstm(model, "dec"), h_final, h_final, c_final)
+        expected = h @ model.params["out.w"] + model.params["out.b"][0]
         npt.assert_allclose(net.forward_batch(model, [window]).preds, [[expected]],
                             rtol=1e-12, atol=1e-15)
 
@@ -206,8 +198,8 @@ class TestDecodeAttention:
         # window then gives the same encoder state at every position
         hidden = 4
         model = net.init(net.ModelConfig(n_past=5, n_future=2, hidden=hidden, attention=True), Rng(4))
-        model.encoder.w[:, :hidden] = 0.0
-        model.encoder.b[:hidden] = -1000.0
+        model.params["enc.w"][:, :hidden] = 0.0
+        model.params["enc.b"][:hidden] = -1000.0
         cache = net.forward_batch(model, [[0.3] * 5])
         npt.assert_array_equal(cache.enc.h, np.broadcast_to(cache.enc.h[0], cache.enc.h.shape))
         npt.assert_allclose(cache.attn[:, 0], np.full((2, 5), 0.2), atol=1e-15)
@@ -218,7 +210,7 @@ class TestDecodeAttention:
         enc_stack, h_final, c_final = ref_encode(model, window)
         dec_stack = ref_decode(model, h_final, c_final)
         expect_preds, expect_w, expect_ctx = brute_force_attention(
-            enc_stack, dec_stack, model.output.w, model.output.b[0])
+            enc_stack, dec_stack, model.params["out.w"], model.params["out.b"][0])
         cache = net.forward_batch(model, [window])
         npt.assert_allclose(cache.attn[:, 0], expect_w, atol=1e-12)
         npt.assert_allclose(cache.feats[:, 0, :model.config.hidden], expect_ctx, atol=1e-12)
@@ -239,7 +231,7 @@ class TestBackward:
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
         cache = net.forward_batch(model, [[0.2, 0.4, 0.1, 0.9]])
         grads = net.backward_batch(model, cache, np.zeros((1, 2)))
-        assert [name for name, _ in net.param_items(model)] == list(grads)
+        assert list(model.params) == list(grads)
         for name, g in grads.items():
             npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
@@ -269,15 +261,15 @@ class TestBackward:
             _, h_final, c_final = ref_encode(model, window)
             dec_stack = ref_decode(model, h_final, c_final)
             total = 0.0
-            w_ctx, w_dec = model.output.w[:cfg.hidden], model.output.w[cfg.hidden:]
+            w_ctx, w_dec = np.split(model.params["out.w"], 2)
             for s in range(cfg.n_future):
-                pred = w_ctx @ h_final + w_dec @ dec_stack[s] + model.output.b[0]
+                pred = w_ctx @ h_final + w_dec @ dec_stack[s] + model.params["out.b"][0]
                 total += loss_grad[s] * pred  # linear functional with the given grad
             return total
 
         eps = 1e-6
         rng = Rng(7)
-        for name, arr in net.param_items(model):
+        for name, arr in model.params.items():
             # six draws from each gate's rows of an LSTM array
             pieces = 1 if name.startswith("out.") else len(net.GATES)
             blocks = zip(np.split(arr, pieces), np.split(grads[name], pieces))
@@ -301,8 +293,9 @@ class TestInit:
         cfg = net.ModelConfig(n_past=5, n_future=3, hidden=7, attention=True)
         a = net.init(cfg, Rng(42))
         b = net.init(cfg, Rng(42))
-        for (name_a, arr_a), (_, arr_b) in zip(net.param_items(a), net.param_items(b)):
-            npt.assert_array_equal(arr_a, arr_b, err_msg=name_a)
+        assert list(a.params) == list(b.params)
+        for name, arr in a.params.items():
+            npt.assert_array_equal(arr, b.params[name], err_msg=name)
 
     def test_parameter_count_shape_arithmetic(self):
         # encoder gates: hidden x (hidden+1) + hidden; decoder input is the
@@ -314,33 +307,34 @@ class TestInit:
             + 4 * (hidden * 2 * hidden + hidden)
             + hidden + 1
         )
-        assert sum(arr.size for _, arr in net.param_items(model)) == expected
+        assert sum(arr.size for arr in model.params.values()) == expected
 
     def test_attention_output_width(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=10, attention=True), Rng(0))
-        assert model.output.w.shape == (20,)
+        assert model.params["out.w"].shape == (20,)
 
     def test_entries_within_glorot_bound(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=9), Rng(13))
-        for lstm, width in ((model.encoder, 1), (model.decoder, 9)):
+        for prefix, width in (("enc", 1), ("dec", 9)):
+            w, b = lstm(model, prefix)
             bound = math.sqrt(6.0 / (9 + 9 + width))
-            assert lstm.w.shape == (36, 9 + width)
-            assert np.all(np.abs(lstm.w) <= bound)
-            npt.assert_array_equal(lstm.b, np.zeros(36))
+            assert w.shape == (36, 9 + width)
+            assert np.all(np.abs(w) <= bound)
+            npt.assert_array_equal(b, np.zeros(36))
         out_bound = math.sqrt(6.0 / (9 + 1))
-        assert np.all(np.abs(model.output.w) <= out_bound)
+        assert np.all(np.abs(model.params["out.w"]) <= out_bound)
 
-    def test_param_items_are_the_stacked_arrays(self):
-        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(14))
-        items = net.param_items(model)
-        assert [name for name, _ in items] == ["enc.w", "enc.b", "dec.w", "dec.b", "out.w", "out.b"]
-        owned = [model.encoder.w, model.encoder.b, model.decoder.w, model.decoder.b,
-                 model.output.w, model.output.b]
-        assert all(arr is own for (_, arr), own in zip(items, owned))
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_params_follow_param_shapes(self, attention):
+        cfg = net.ModelConfig(n_past=4, n_future=2, hidden=3, attention=attention)
+        model = net.init(cfg, Rng(14))
+        assert list(model.params) == list(net.PARAMS) == list(net.param_shapes(cfg))
+        for name, arr in model.params.items():
+            assert arr.shape == net.param_shapes(cfg)[name], name
         cache = net.forward_batch(model, [[0.2, 0.4, 0.1, 0.9]])
         grads = net.backward_batch(model, cache, np.ones((1, 2)))
-        assert list(grads) == [name for name, _ in items]
-        for name, arr in items:
+        assert list(grads) == list(net.PARAMS)
+        for name, arr in model.params.items():
             assert grads[name].shape == arr.shape, name
 
 

@@ -10,6 +10,8 @@ from tfl import training as tr
 from tfl.dataset import WindowedDataset, make_windows
 from tfl.numeric import Rng
 
+import oracles
+
 
 def small_model(attention=False, seed=1, n_past=8, n_future=3, hidden=8):
     cfg = net.ModelConfig(n_past=n_past, n_future=n_future, hidden=hidden,
@@ -60,7 +62,7 @@ class TestHuber:
 
 
 def snapshot(model):
-    return {name: arr.copy() for name, arr in net.param_items(model)}
+    return {name: arr.copy() for name, arr in model.params.items()}
 
 
 class TestAdamStep:
@@ -68,9 +70,9 @@ class TestAdamStep:
         model = small_model()
         state = tr.AdamState.fresh(model, lr=0.01)
         before = snapshot(model)
-        grads = {name: np.zeros_like(arr) for name, arr in net.param_items(model)}
+        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
         tr.adam_step(model, grads, state)
-        for name, arr in net.param_items(model):
+        for name, arr in model.params.items():
             npt.assert_array_equal(arr, before[name], err_msg=name)
 
     def test_first_step_magnitude_is_learning_rate(self):
@@ -78,11 +80,11 @@ class TestAdamStep:
         # lr * g / (|g| + eps) ~ lr * sign(g)
         model = small_model()
         state = tr.AdamState.fresh(model, lr=0.001)
-        grads = {name: np.zeros_like(arr) for name, arr in net.param_items(model)}
+        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
         grads["out.b"] = np.array([0.3])
-        before = float(model.output.b[0])
+        before = float(model.params["out.b"][0])
         tr.adam_step(model, grads, state)
-        delta = before - float(model.output.b[0])
+        delta = before - float(model.params["out.b"][0])
         assert delta == pytest.approx(0.001, abs=1e-6)
 
     def test_no_trainable_block_is_identity(self):
@@ -92,21 +94,21 @@ class TestAdamStep:
         for _ in range(3):
             tr.adam_step(model, {}, state)
         assert state.m == {} and state.v == {} and state.t == 3
-        for name, arr in net.param_items(model):
+        for name, arr in model.params.items():
             npt.assert_array_equal(arr, before[name], err_msg=name)
 
     def test_freeze_invariance_under_random_trainable_set(self):
         model = small_model(seed=3)
         rng = Rng(8)
-        trainable = {name for name, _ in net.param_items(model) if rng.uniform(0, 1) < 0.5}
+        trainable = {name for name in model.params if rng.uniform(0, 1) < 0.5}
         state = tr.AdamState.fresh(model, lr=0.05, trainable=trainable)
         assert set(state.m) == set(state.v) == trainable
         before = snapshot(model)
         for step in range(5):
             grads = {name: np.full_like(arr, 0.1 * (step + 1))
-                     for name, arr in net.param_items(model) if name in trainable}
+                     for name, arr in model.params.items() if name in trainable}
             tr.adam_step(model, grads, state)
-        for name, arr in net.param_items(model):
+        for name, arr in model.params.items():
             if name not in trainable:
                 npt.assert_array_equal(arr, before[name], err_msg=name)
             else:
@@ -119,7 +121,7 @@ class TestAdamStep:
     def test_shape_incongruence_rejected(self):
         model = small_model()
         state = tr.AdamState.fresh(model, lr=0.01)
-        grads = {name: np.zeros_like(arr) for name, arr in net.param_items(model)}
+        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
         grads["out.w"] = np.zeros(99)
         with pytest.raises(ValueError, match="shape"):
             tr.adam_step(model, grads, state)
@@ -131,7 +133,7 @@ class TestAdamStep:
         model = small_model()
         state = tr.AdamState.fresh(model, lr=0.01, trainable=["out.w", "out.b"])
         before = snapshot(model)
-        params = dict(net.param_items(model))
+        params = model.params
         missing = {"out.w": np.zeros_like(params["out.w"])}
         extra = {name: np.zeros_like(params[name]) for name in ("out.w", "out.b", "dec.b")}
         with pytest.raises(ValueError, match=r"does not match the trained blocks: \['out\.b'\]"):
@@ -139,7 +141,7 @@ class TestAdamStep:
         with pytest.raises(ValueError, match=r"does not match the trained blocks: \['dec\.b'\]"):
             tr.adam_step(model, extra, state)
         assert state.t == 0
-        for name, arr in net.param_items(model):
+        for name, arr in model.params.items():
             npt.assert_array_equal(arr, before[name], err_msg=name)
 
 
@@ -154,7 +156,7 @@ class TestTrain:
         trained, history = tr.train(model, constant_windows(),
                                     tr.TrainConfig(epochs=1, lr=0.0, seed=4))
         assert len(history) == 1
-        for name, arr in net.param_items(trained):
+        for name, arr in trained.params.items():
             npt.assert_array_equal(arr, before[name], err_msg=name)
 
     def test_constant_series_converges(self):
@@ -170,8 +172,9 @@ class TestTrain:
         m1, h1 = tr.train(model, data, cfg)
         m2, h2 = tr.train(model, data, cfg)
         assert h1 == h2
-        for (name, a1), (_, a2) in zip(net.param_items(m1), net.param_items(m2)):
-            npt.assert_array_equal(a1, a2, err_msg=name)
+        assert list(m1.params) == list(m2.params)
+        for name, arr in m1.params.items():
+            npt.assert_array_equal(arr, m2.params[name], err_msg=name)
 
     def test_final_loss_below_initial(self):
         model = small_model(seed=9)
@@ -185,7 +188,7 @@ class TestTrain:
             tr.TrainConfig(lr=lr)
 
     def test_empty_dataset_rejected(self):
-        empty = WindowedDataset(np.empty((0, 8)), np.empty((0, 3)), 8, 3)
+        empty = WindowedDataset(np.empty((0, 8)), np.empty((0, 3)))
         with pytest.raises(ValueError, match="empty"):
             tr.train(small_model(), empty, tr.TrainConfig(epochs=1))
 
@@ -198,15 +201,15 @@ class TestTrain:
         model = small_model(seed=12)
         before = snapshot(model)
         tr.train(model, constant_windows(), tr.TrainConfig(epochs=2, batch=8, lr=0.01))
-        for name, arr in net.param_items(model):
+        for name, arr in model.params.items():
             npt.assert_array_equal(arr, before[name], err_msg=name)
 
 
     def test_returned_model_owns_contiguous_arrays(self):
         model = small_model(seed=13)
         trained, _ = tr.train(model, constant_windows(), tr.TrainConfig(epochs=1, lr=0.0))
-        source = dict(net.param_items(model))
-        for name, arr in net.param_items(trained):
+        source = model.params
+        for name, arr in trained.params.items():
             assert arr.flags.c_contiguous, name
             assert not np.shares_memory(arr, source[name]), name
         assert trained.config == model.config
@@ -218,8 +221,8 @@ class TestTransfer:
 
     def test_phase1_freezes_body(self):
         model, _ = tr.transfer(self.source, self.data, [(3, 0.001), (0, 0.0001)], batch=8, seed=7)
-        for name, arr in net.param_items(model):
-            src = dict(net.param_items(self.source))[name]
+        for name, arr in model.params.items():
+            src = self.source.params[name]
             if name.startswith("out."):
                 assert not np.array_equal(arr, src), name
             else:
@@ -228,9 +231,9 @@ class TestTransfer:
     def test_skipped_phase2_changes_only_output(self):
         model, phases = tr.transfer(self.source, self.data, [(2, 0.001), (0, 0.0001)], batch=8, seed=7)
         assert phases[1].history == []
-        for name, arr in net.param_items(model):
+        for name, arr in model.params.items():
             if not name.startswith("out."):
-                npt.assert_array_equal(arr, dict(net.param_items(self.source))[name])
+                npt.assert_array_equal(arr, self.source.params[name])
 
     def test_phase_order_and_rates_recorded(self):
         _, phases = tr.transfer(self.source, self.data, [(1, 0.001), (1, 0.0001)], batch=8, seed=7)
@@ -245,8 +248,8 @@ class TestTransfer:
 
     def test_phase2_updates_body(self):
         model, _ = tr.transfer(self.source, self.data, [(1, 0.001), (1, 0.0001)], batch=8, seed=7)
-        src = dict(net.param_items(self.source))
-        changed = [name for name, arr in net.param_items(model)
+        src = self.source.params
+        changed = [name for name, arr in model.params.items()
                    if not name.startswith("out.") and not np.array_equal(arr, src[name])]
         assert changed  # fine-tune touched the body
 
@@ -254,8 +257,8 @@ class TestTransfer:
     def test_source_model_is_not_mutated(self):
         before = snapshot(self.source)
         model, _ = tr.transfer(self.source, self.data, [(1, 0.001), (1, 0.0001)], batch=8, seed=7)
-        src = dict(net.param_items(self.source))
-        for name, arr in net.param_items(model):
+        src = self.source.params
+        for name, arr in model.params.items():
             npt.assert_array_equal(src[name], before[name], err_msg=name)
             assert not np.shares_memory(arr, src[name]), name
 
@@ -263,7 +266,7 @@ def reference_head_phase(source, data, epochs, batch, lr, seed):
     """Transfer phase 1 as a full training step does it: the cached forward,
     BPTT through the frozen body, then Adam on the output layer alone."""
     model = copy.deepcopy(source)
-    model.output = net.init_output_layer(model.config, Rng(seed))
+    model.params.update(net.init_output_layer(model.config, Rng(seed)))
     head = ("out.w", "out.b")
     state = tr.AdamState.fresh(model, lr, head)
     rng = Rng(seed)
@@ -299,8 +302,8 @@ class TestHeadPhase:
         assert len(data) == n
         ref, ref_history = reference_head_phase(source, data, 2, batch, 0.01, seed=9)
         model, logs = tr.transfer(source, data, [(2, 0.01), (0, 0.001)], batch=batch, seed=9)
-        npt.assert_array_equal(model.output.w, ref.output.w)
-        npt.assert_array_equal(model.output.b, ref.output.b)
+        npt.assert_array_equal(model.params["out.w"], ref.params["out.w"])
+        npt.assert_array_equal(model.params["out.b"], ref.params["out.b"])
         assert logs[0].history == ref_history
 
     @pytest.mark.parametrize("attention", [False, True])
@@ -314,7 +317,7 @@ class TestHeadPhase:
         data = make_windows(Rng(3).uniform_array(60, 0, 1), 8, 3)
         model, logs = tr.transfer(source, data, [(2, 0.01), (0, 0.001)], batch=8, seed=7)
         assert len(logs[0].history) == 2
-        assert not np.array_equal(model.output.w, source.output.w)
+        assert not np.array_equal(model.params["out.w"], source.params["out.w"])
 
 
 class TestGradientCheck:
@@ -322,13 +325,13 @@ class TestGradientCheck:
         model = small_model(n_past=4, n_future=2, hidden=8, seed=33)
         window = Rng(34).uniform_array(4, 0, 1)
         targets = Rng(35).uniform_array(2, 0, 1)
-        assert tr.gradient_check(model, window, targets, 1e-5) < 1e-4
+        assert oracles.gradient_check(model, window, targets, 1e-5) < 1e-4
 
     def test_attention_model_matches_finite_differences(self):
         model = small_model(attention=True, n_past=4, n_future=2, hidden=8, seed=36)
         window = Rng(37).uniform_array(4, 0, 1)
         targets = Rng(38).uniform_array(2, 0, 1)
-        assert tr.gradient_check(model, window, targets, 1e-5) < 1e-4
+        assert oracles.gradient_check(model, window, targets, 1e-5) < 1e-4
 
     @pytest.mark.parametrize("attention", [False, True])
     def test_every_gate_block_is_sampled(self, monkeypatch, attention):
@@ -338,7 +341,7 @@ class TestGradientCheck:
         window = Rng(40).uniform_array(4, 0, 1)
         targets = Rng(41).uniform_array(2, 0, 1)
         hid = model.config.hidden
-        exact = tr.backward_batch
+        exact = oracles.backward_batch
         for name in ("enc.w", "enc.b", "dec.w", "dec.b"):
             for k in range(len(net.GATES)):
                 def corrupted(*args, name=name, k=k):
@@ -347,13 +350,13 @@ class TestGradientCheck:
                     rows += 10.0 * (1.0 + np.abs(rows))
                     return grads
 
-                monkeypatch.setattr(tr, "backward_batch", corrupted)
-                worst = tr.gradient_check(model, window, targets, 1e-5, samples_per_block=1)
+                monkeypatch.setattr(oracles, "backward_batch", corrupted)
+                worst = oracles.gradient_check(model, window, targets, 1e-5, samples_per_block=1)
                 assert worst > 0.9, (name, net.GATES[k])
-        monkeypatch.setattr(tr, "backward_batch", exact)
-        assert tr.gradient_check(model, window, targets, 1e-5, samples_per_block=1) < 1e-4
+        monkeypatch.setattr(oracles, "backward_batch", exact)
+        assert oracles.gradient_check(model, window, targets, 1e-5, samples_per_block=1) < 1e-4
 
     def test_zero_epsilon_rejected(self):
         model = small_model()
         with pytest.raises(ValueError, match="epsilon"):
-            tr.gradient_check(model, np.zeros(8), np.zeros(3), 0.0)
+            oracles.gradient_check(model, np.zeros(8), np.zeros(3), 0.0)
