@@ -79,10 +79,10 @@ def load_config_file(path) -> dict[str, str]:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                if "=" not in line:
-                    raise UsageError(f"{path}: line {lineno}: expected key=value")
-                key, _, value = line.partition("=")
+                key, sep, value = line.partition("=")
                 key = key.strip()
+                if not sep or not key:
+                    raise UsageError(f"{path}: line {lineno}: expected key=value")
                 if key in values:
                     raise UsageError(f"{path}: line {lineno}: repeated key '{key}'")
                 values[key] = value.strip()
@@ -400,7 +400,7 @@ def cmd_evaluate(cfg: dict) -> int:
     for path in cfg["model"]:
         tables.update(_evaluate_one(path, series))
     out_dir = Path(cfg["out_dir"])
-    ev.emit_report(tables, None, out_dir)
+    ev.emit_report(tables, out_dir)
     write_config_echo(cfg, out_dir / "evaluate_config.txt")
     for name, table in sorted(tables.items()):
         if name.endswith("_scaled"):
@@ -414,7 +414,7 @@ def cmd_report(cfg: dict) -> int:
     after = ev.parse_metrics_csv(cfg["after"])
     stats = ev.improvements(before, after)
     out_dir = Path(cfg["out_dir"])
-    ev.emit_report({}, stats, out_dir)
+    ev.write_improvements(stats, out_dir)
     write_config_echo(cfg, out_dir / "report_config.txt")
     print(f"average WAPE improvement {np.mean(stats.deltas):.4f} pp; "
           f"IQR {stats.iqr:.4f}; outliers {len(stats.outliers)}")

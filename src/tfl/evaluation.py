@@ -11,50 +11,21 @@ outliers are Tukey-fenced at 1.5 IQR.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-_FMT = "%.15g"  # full-precision columns so emitted tables re-parse losslessly
+_FMT = "%.15g"  # 15 significant digits per column
 
 METRICS_HEADER = ("step", "mae", "rmse", "wape")
 IMPROVEMENT_HEADER = ("step", "delta_wape_pp")
 SUMMARY_HEADER = ("q1", "q3", "iqr", "n_outliers")
 
 
-def _check_pair(pred, obs) -> tuple[np.ndarray, np.ndarray]:
-    pred = np.asarray(pred, dtype=np.float64).reshape(-1)
-    obs = np.asarray(obs, dtype=np.float64).reshape(-1)
-    if pred.shape != obs.shape:
-        raise ValueError(f"length mismatch: predictions {pred.shape} vs observations {obs.shape}")
-    if pred.size == 0:
-        raise ValueError("empty metric input")
-    return pred, obs
-
-
-def mae(pred, obs) -> float:
-    pred, obs = _check_pair(pred, obs)
-    return float(np.mean(np.abs(pred - obs)))
-
-
-def rmse(pred, obs) -> float:
-    pred, obs = _check_pair(pred, obs)
-    return float(np.sqrt(np.mean((pred - obs) ** 2)))
-
-
-def wape(pred, obs) -> float:
-    """Weighted absolute percentage error; undefined when sum|obs| is 0."""
-    pred, obs = _check_pair(pred, obs)
-    denom = float(np.sum(np.abs(obs)))
-    if denom == 0.0:
-        raise ValueError("WAPE undefined: observations sum to zero absolute value")
-    return float(np.sum(np.abs(pred - obs)) / denom * 100.0)
-
-
 @dataclass
 class StepMetrics:
-    step: int  # 1-based forecast step; 0 marks the average row
     mae: float
     rmse: float
     wape: float
@@ -62,9 +33,9 @@ class StepMetrics:
 
 @dataclass
 class MetricsTable:
-    """Per-step metrics for one forecast horizon plus their average."""
+    """Per-step metrics, step k+1 at index k, plus their average; the
+    horizon is ``len(per_step)``."""
 
-    horizon: int
     per_step: list[StepMetrics]
     average: StepMetrics
 
@@ -78,26 +49,26 @@ def per_step_table(predictions: np.ndarray, targets: np.ndarray) -> MetricsTable
             f"need matching 2-D (windows, horizon) arrays, got "
             f"{predictions.shape} and {targets.shape}"
         )
-    if predictions.shape[0] < 1:
-        raise ValueError("need at least one window")
-    rows = [
-        StepMetrics(step=j + 1, mae=mae(p, o), rmse=rmse(p, o), wape=wape(p, o))
-        for j, (p, o) in enumerate(zip(predictions.T, targets.T))
-    ]
-    average = StepMetrics(
-        step=0,
-        mae=float(np.mean([r.mae for r in rows])),
-        rmse=float(np.mean([r.rmse for r in rows])),
-        wape=float(np.mean([r.wape for r in rows])),
-    )
-    return MetricsTable(horizon=predictions.shape[1], per_step=rows, average=average)
+    if 0 in predictions.shape:
+        raise ValueError("need at least one window and one step")
+    # one contiguous row per step, so each sums in the order of a 1-D column
+    err = np.ascontiguousarray((predictions - targets).T)
+    obs_sum = np.abs(np.ascontiguousarray(targets.T)).sum(axis=1)
+    if np.any(obs_sum == 0.0):
+        raise ValueError("WAPE undefined: observations sum to zero absolute value")
+    windows = predictions.shape[0]
+    abs_sum = np.abs(err).sum(axis=1)
+    columns = (abs_sum / windows, np.sqrt((err ** 2).sum(axis=1) / windows),
+               abs_sum / obs_sum * 100.0)
+    rows = [StepMetrics(*row) for row in zip(*(c.tolist() for c in columns))]
+    return MetricsTable(rows, StepMetrics(*(float(np.mean(c)) for c in columns)))
 
 
 def iqr(values) -> tuple[float, float, float]:
     """(q1, q3, q3 - q1) with quartiles interpolated at position p*(n-1)."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if len(values) < 4:
-        raise ValueError(f"IQR needs >= 4 values, got {len(values)}")
+    if len(values) == 0:
+        raise ValueError("IQR needs at least one value")
     q1, q3 = np.quantile(values, [0.25, 0.75])
     return float(q1), float(q3), float(q3 - q1)
 
@@ -125,11 +96,9 @@ class ImprovementStats:
 
 def improvements(before: MetricsTable, after: MetricsTable) -> ImprovementStats:
     """Step-wise WAPE improvement from ``before`` to ``after``."""
-    if before.horizon != after.horizon:
-        raise ValueError(f"horizon mismatch: {before.horizon} vs {after.horizon}")
-    deltas = np.array(
-        [b.wape - a.wape for b, a in zip(before.per_step, after.per_step)]
-    )
+    if len(before.per_step) != len(after.per_step):
+        raise ValueError(f"horizon mismatch: {len(before.per_step)} vs {len(after.per_step)}")
+    deltas = np.array([b.wape - a.wape for b, a in zip(before.per_step, after.per_step)])
     q1, q3, spread = iqr(deltas)
     marked = [(k + 1, v) for k, v in outliers(deltas)]
     return ImprovementStats(deltas=deltas, q1=q1, q3=q3, iqr=spread, outliers=marked)
@@ -145,68 +114,57 @@ def _write_rows(path: Path, header, rows) -> None:
         raise OSError(f"cannot write report file {path}: {exc}") from exc
 
 
-def write_metrics_csv(table: MetricsTable, path) -> None:
-    """Rows 1..horizon then an 'average' row, header step,mae,rmse,wape."""
-    rows = [
-        (r.step, _FMT % r.mae, _FMT % r.rmse, _FMT % r.wape) for r in table.per_step
-    ]
-    rows.append(("average", _FMT % table.average.mae, _FMT % table.average.rmse,
-                 _FMT % table.average.wape))
-    _write_rows(Path(path), METRICS_HEADER, rows)
+def emit_report(tables: dict[str, MetricsTable], out_dir) -> None:
+    """Write each table as ``<name>.csv``: header step,mae,rmse,wape, the
+    rows of steps 1..horizon, then an ``average`` row."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, table in tables.items():
+        labels = [*range(1, len(table.per_step) + 1), "average"]
+        rows = [(label, *(_FMT % v for v in astuple(r)))
+                for label, r in zip(labels, [*table.per_step, table.average])]
+        _write_rows(out / f"{name}.csv", METRICS_HEADER, rows)
+
+
+def write_improvements(stats: ImprovementStats, out_dir) -> None:
+    """Write the per-step deltas (``improvement.csv``) and their IQR/outlier
+    summary (``summary.csv``)."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_rows(out / "improvement.csv", IMPROVEMENT_HEADER,
+                [(k, _FMT % d) for k, d in enumerate(stats.deltas, start=1)])
+    _write_rows(out / "summary.csv", SUMMARY_HEADER,
+                [(_FMT % stats.q1, _FMT % stats.q3, _FMT % stats.iqr, len(stats.outliers))])
 
 
 def parse_metrics_csv(path) -> MetricsTable:
-    """Rebuild a MetricsTable from :func:`write_metrics_csv` output."""
-    per_step = []
-    average = None
+    """Read a table :func:`emit_report` wrote.  It must hold the header, the
+    rows of steps 1..n in order, then one ``average`` row, last, each with
+    four columns and finite values; anything else raises ``ValueError``
+    naming the file and the line."""
+    labels: list[str] = []
+    rows: list[StepMetrics] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != METRICS_HEADER:
-            raise ValueError(f"{path}: unexpected metrics header {header}")
-        for row in reader:
-            label, m, r, w = row
-            if label == "average":
-                average = StepMetrics(step=0, mae=float(m), rmse=float(r), wape=float(w))
-            else:
-                per_step.append(StepMetrics(step=int(label), mae=float(m),
-                                            rmse=float(r), wape=float(w)))
-    if average is None or not per_step:
-        raise ValueError(f"{path}: incomplete metrics table")
-    return MetricsTable(horizon=len(per_step), per_step=per_step, average=average)
-
-
-def emit_report(tables: dict[str, MetricsTable], stats: ImprovementStats | None, out_dir) -> list[Path]:
-    """Write metric tables, plot-ready step/metric files, and (when
-    improvement stats are given) the delta and IQR/outlier summaries."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for name, table in tables.items():
-        path = out / f"{name}.csv"
-        write_metrics_csv(table, path)
-        written.append(path)
-        for metric in ("mae", "rmse", "wape"):
-            ppath = out / f"plot_{name}_{metric}.csv"
-            _write_rows(
-                ppath,
-                ("step", metric),
-                [(r.step, _FMT % getattr(r, metric)) for r in table.per_step],
-            )
-            written.append(ppath)
-    if stats is not None:
-        ipath = out / "improvement.csv"
-        _write_rows(
-            ipath,
-            IMPROVEMENT_HEADER,
-            [(k + 1, _FMT % d) for k, d in enumerate(stats.deltas)],
-        )
-        written.append(ipath)
-        spath = out / "summary.csv"
-        _write_rows(
-            spath,
-            SUMMARY_HEADER,
-            [(_FMT % stats.q1, _FMT % stats.q3, _FMT % stats.iqr, len(stats.outliers))],
-        )
-        written.append(spath)
-    return written
+        try:
+            if tuple(next(reader, ())) != METRICS_HEADER:
+                raise ValueError(f"expected the header {','.join(METRICS_HEADER)}")
+            for row in reader:
+                if labels[-1:] == ["average"]:
+                    raise ValueError("a row follows the average row")
+                if len(row) != len(METRICS_HEADER):
+                    raise ValueError(f"expected {len(METRICS_HEADER)} columns, got {len(row)}")
+                label, *texts = row
+                if label != str(len(labels) + 1) and not (label == "average" and labels):
+                    expected = f"step {len(labels) + 1}" + (" or average" if labels else "")
+                    raise ValueError(f"expected {expected}, got {label!r}")
+                values = [float(text) for text in texts]
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError(f"non-finite value in {','.join(texts)}")
+                labels.append(label)
+                rows.append(StepMetrics(*values))
+            if labels[-1:] != ["average"]:
+                raise ValueError("the table ends without an average row")
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}: line {max(reader.line_num, 1)}: {exc}") from None
+    return MetricsTable(rows[:-1], rows[-1])

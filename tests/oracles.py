@@ -3,6 +3,9 @@
 ``gradient_check`` compares backprop with central finite differences of the
 Huber loss.  ``accuracy`` and ``persistence_forecast`` give the paper's
 accuracy figure and the naive baseline the acceptance criteria compare with.
+``column_table`` computes a per-step metrics table one 1-D column at a time
+with ``mae``, ``rmse`` and ``wape``; ``evaluation.per_step_table`` must
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +15,29 @@ import numpy as np
 from tfl.network import GATES, Seq2SeqModel, backward_batch, forward_batch
 from tfl.numeric import Rng
 from tfl.training import huber
+
+
+def mae(pred: np.ndarray, obs: np.ndarray) -> float:
+    return float(np.mean(np.abs(pred - obs)))
+
+
+def rmse(pred: np.ndarray, obs: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((pred - obs) ** 2)))
+
+
+def wape(pred: np.ndarray, obs: np.ndarray) -> float:
+    """Weighted absolute percentage error; undefined when sum|obs| is 0."""
+    denom = float(np.sum(np.abs(obs)))
+    if denom == 0.0:
+        raise ValueError("WAPE undefined: observations sum to zero absolute value")
+    return float(np.sum(np.abs(pred - obs)) / denom * 100.0)
+
+
+def column_table(predictions: np.ndarray, targets: np.ndarray) -> list[tuple[float, float, float]]:
+    """(mae, rmse, wape) of each (windows, horizon) column, then the average
+    row: the mean of each metric over the steps."""
+    rows = [(mae(p, o), rmse(p, o), wape(p, o)) for p, o in zip(predictions.T, targets.T)]
+    return rows + [tuple(float(np.mean(column)) for column in zip(*rows))]
 
 
 def accuracy(wape_pct: float) -> float:

@@ -119,16 +119,19 @@ def test_criterion_6_metric_oracles():
     with criterion(6, "MAE/RMSE/WAPE match brute force; accuracy arithmetic"):
         for k in range(100):
             rng = Rng(900 + k)
-            n = 1 + rng.next_u64() % 15
-            p = rng.uniform_array(int(n), -10, 10)
-            o = rng.uniform_array(int(n), 0.3, 10)
-            abs_sum = sum(abs(p[j] - o[j]) for j in range(int(n)))
-            sq_sum = sum((p[j] - o[j]) ** 2 for j in range(int(n)))
-            obs_sum = sum(abs(o[j]) for j in range(int(n)))
-            assert abs(ev.mae(p, o) - abs_sum / n) < 1e-12
-            assert abs(ev.rmse(p, o) - math.sqrt(sq_sum / n)) < 1e-12
-            assert abs(ev.wape(p, o) - abs_sum / obs_sum * 100.0) < 1e-12
-            assert ev.rmse(p, o) >= ev.mae(p, o)
+            n = int(1 + rng.next_u64() % 15)
+            horizon = int(1 + rng.next_u64() % 6)
+            p = rng.uniform_array(n * horizon, -10, 10).reshape(n, horizon)
+            o = rng.uniform_array(n * horizon, 0.3, 10).reshape(n, horizon)
+            table = ev.per_step_table(p, o)
+            for j, row in enumerate(table.per_step):
+                abs_sum = sum(abs(p[i, j] - o[i, j]) for i in range(n))
+                sq_sum = sum((p[i, j] - o[i, j]) ** 2 for i in range(n))
+                obs_sum = sum(abs(o[i, j]) for i in range(n))
+                assert abs(row.mae - abs_sum / n) < 1e-12
+                assert abs(row.rmse - math.sqrt(sq_sum / n)) < 1e-12
+                assert abs(row.wape - abs_sum / obs_sum * 100.0) < 1e-12
+                assert row.rmse >= row.mae
         assert oracles.accuracy(6.28) == 93.72
 
 

@@ -213,7 +213,7 @@ class TestTrainEvaluate:
                 "metrics_m_scaled": ev.per_step_table(preds, windows.targets),
                 "metrics_m_raw": ev.per_step_table(ds.inverse_scale(preds, scaler),
                                                    ds.inverse_scale(windows.targets, scaler)),
-            }, None, out)
+            }, out)
             return {p.name: p.read_bytes() for p in out.glob("*.csv")}
 
         written = {p.name: p.read_bytes() for p in out_dir.glob("*.csv")}
@@ -291,6 +291,15 @@ class TestTrainEvaluate:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {config}: line 4: repeated key 'epochs'"]
         assert not model_path.parent.exists()
+
+    def test_empty_config_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "c.conf"
+        config.write_text("# a comment\nlength=50\n = 3\n")
+        out = tmp_path / "run" / "y.csv"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {config}: line 3: expected key=value"]
+        assert not out.parent.exists()
 
     def test_rerun_from_echoed_config(self, tmp_path, series_csv):
         first = tmp_path / "one" / "m.tfl"
@@ -511,21 +520,60 @@ class TestEchoRoundTrip:
         assert trained == [] and not second.exists()
 
 
+GOOD_TABLE = ["step,mae,rmse,wape", *(f"{k},0.1,0.2,{10 + k}" for k in range(1, 7)),
+              "average,0.1,0.2,13.5"]
+
+# (lines of the --after table, the line the reader names, its problem)
+BAD_AFTER_TABLES = [
+    ([], 1, "expected the header step,mae,rmse,wape"),
+    (["step,mae,rmse"] + GOOD_TABLE[1:], 1, "expected the header step,mae,rmse,wape"),
+    (GOOD_TABLE[:1], 1, "the table ends without an average row"),
+    (GOOD_TABLE[:7], 7, "the table ends without an average row"),
+    (GOOD_TABLE[:1] + GOOD_TABLE[7:], 2, "expected step 1, got 'average'"),
+    ([GOOD_TABLE[0], *reversed(GOOD_TABLE[1:7]), GOOD_TABLE[7]], 2, "expected step 1, got '6'"),
+    ([GOOD_TABLE[0], *["1,0.1,0.2,11"] * 6, GOOD_TABLE[7]], 3,
+     "expected step 2 or average, got '1'"),
+    (GOOD_TABLE + ["7,0.1,0.2,17"], 9, "a row follows the average row"),
+    (GOOD_TABLE[:3] + ["3,0.1,0.2"] + GOOD_TABLE[4:], 4, "expected 4 columns, got 3"),
+    (GOOD_TABLE[:3] + [""] + GOOD_TABLE[3:], 4, "expected 4 columns, got 0"),
+    (GOOD_TABLE[:3] + ["3,0.1,high,13"] + GOOD_TABLE[4:], 4,
+     "could not convert string to float: 'high'"),
+    (GOOD_TABLE[:3] + ["3,0.1,0.2,nan"] + GOOD_TABLE[4:], 4, "non-finite value in 0.1,0.2,nan"),
+    (GOOD_TABLE[:3] + ["3,inf,0.2,13"] + GOOD_TABLE[4:], 4, "non-finite value in inf,0.2,13"),
+]
+
+
 class TestReportCli:
-    def test_report_from_two_evaluations(self, tmp_path, series_csv):
+    @pytest.mark.parametrize("n_future", ["1", "2", "3"])
+    def test_report_from_two_evaluations(self, tmp_path, series_csv, n_future):
         model_path = tmp_path / "m.tfl"
-        # horizon 4: the IQR summary needs at least four per-step deltas
-        assert main(train_args(series_csv, model_path, **{"n-future": "4"})) == 0
+        assert main(train_args(series_csv, model_path, **{"n-future": n_future})) == 0
         eval_dir = tmp_path / "eval"
         assert main(["evaluate", "--model", str(model_path),
                      "--data", str(series_csv), "--out-dir", str(eval_dir)]) == 0
-        metrics = next(eval_dir.glob("metrics_*_scaled.csv"))
+        metrics = eval_dir / "metrics_m_scaled.csv"
         out_dir = tmp_path / "report"
         assert main(["report", "--before", str(metrics), "--after", str(metrics),
                      "--out-dir", str(out_dir)]) == 0
         improvement = (out_dir / "improvement.csv").read_text().splitlines()
         assert improvement[0] == "step,delta_wape_pp"
+        assert [line.partition(",")[0] for line in improvement[1:]] == \
+            [str(k) for k in range(1, int(n_future) + 1)]
         assert all(line.endswith(",0") for line in improvement[1:])
+        assert (out_dir / "summary.csv").read_text().splitlines() == \
+            ["q1,q3,iqr,n_outliers", "0,0,0,0"]
+
+    @pytest.mark.parametrize("lines, line, problem", BAD_AFTER_TABLES)
+    def test_malformed_table_is_one_line_data_error(self, tmp_path, capsys, lines, line, problem):
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        before.write_text("\n".join(GOOD_TABLE) + "\n")
+        after.write_text("".join(f"{text}\n" for text in lines))
+        out_dir = tmp_path / "report"
+        assert main(["report", "--before", str(before), "--after", str(after),
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {after}: line {line}: {problem}"]
+        assert not out_dir.exists()
 
 
 class TestExitCodes:

@@ -25,44 +25,49 @@ def brute_force_metrics(pred, obs):
     return abs_sum / n, math.sqrt(sq_sum / n), abs_sum / obs_sum * 100.0
 
 
+def column(p, o):
+    """The one-step table of a single column of predictions and observations."""
+    return ev.per_step_table(np.asarray(p)[:, None], np.asarray(o)[:, None]).per_step[0]
+
+
 class TestMetrics:
     def test_perfect_prediction(self):
         p = np.array([1.0, 2.0, 3.0])
-        assert ev.mae(p, p) == 0.0
-        assert ev.rmse(p, p) == 0.0
-        assert ev.wape(p, p) == 0.0
+        assert column(p, p) == ev.StepMetrics(0.0, 0.0, 0.0)
 
     def test_hand_values_symmetric_errors(self):
-        p, o = np.array([2.0, 2.0]), np.array([1.0, 3.0])
-        assert ev.mae(p, o) == 1.0
-        assert ev.rmse(p, o) == 1.0
-        assert ev.wape(p, o) == pytest.approx(50.0, abs=1e-12)
+        row = column([2.0, 2.0], [1.0, 3.0])
+        assert row.mae == 1.0
+        assert row.rmse == 1.0
+        assert row.wape == pytest.approx(50.0, abs=1e-12)
 
     def test_hand_values_different_errors_same_aggregate(self):
-        p, o = np.array([0.0, 4.0]), np.array([1.0, 3.0])
-        assert ev.mae(p, o) == 1.0
-        assert ev.rmse(p, o) == 1.0
-        assert ev.wape(p, o) == pytest.approx(50.0, abs=1e-12)
+        row = column([0.0, 4.0], [1.0, 3.0])
+        assert row.mae == 1.0
+        assert row.rmse == 1.0
+        assert row.wape == pytest.approx(50.0, abs=1e-12)
 
     def test_matches_brute_force_on_random_pairs(self):
         for seed in range(100):
             rng = Rng(seed)
-            n = 1 + seed % 12
-            p = rng.uniform_array(n, -10, 10)
-            o = rng.uniform_array(n, 0.5, 10)
-            bf_mae, bf_rmse, bf_wape = brute_force_metrics(p, o)
-            assert abs(ev.mae(p, o) - bf_mae) < 1e-12
-            assert abs(ev.rmse(p, o) - bf_rmse) < 1e-12
-            assert abs(ev.wape(p, o) - bf_wape) < 1e-12
-            assert ev.rmse(p, o) >= ev.mae(p, o)
+            n, horizon = 1 + seed % 12, 1 + seed % 5
+            p = rng.uniform_array(n * horizon, -10, 10).reshape(n, horizon)
+            o = rng.uniform_array(n * horizon, 0.5, 10).reshape(n, horizon)
+            table = ev.per_step_table(p, o)
+            for j, row in enumerate(table.per_step):
+                bf_mae, bf_rmse, bf_wape = brute_force_metrics(p[:, j], o[:, j])
+                assert abs(row.mae - bf_mae) < 1e-12
+                assert abs(row.rmse - bf_rmse) < 1e-12
+                assert abs(row.wape - bf_wape) < 1e-12
+                assert row.rmse >= row.mae
 
     def test_zero_observations_reject_wape(self):
         with pytest.raises(ValueError, match="zero"):
-            ev.wape(np.array([1.0]), np.array([0.0]))
+            ev.per_step_table(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            ev.mae(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError, match="matching"):
+            ev.per_step_table(np.zeros((2, 1)), np.zeros((3, 1)))
 
     @given(
         st.lists(st.floats(-100, 100), min_size=1, max_size=10),
@@ -72,8 +77,8 @@ class TestMetrics:
     def test_wape_scale_invariance(self, values, factor):
         o = np.array([v + 200.0 for v in values])  # keep sum|o| > 0
         p = o + np.linspace(-1, 1, len(o))
-        assert ev.wape(factor * p, factor * o) == pytest.approx(
-            ev.wape(p, o), rel=1e-9)
+        assert column(factor * p, factor * o).wape == pytest.approx(
+            column(p, o).wape, rel=1e-9)
 
 
 class TestAccuracy:
@@ -111,10 +116,9 @@ class TestPerStepTable:
         p = rng.uniform_array(30, 0.5, 1.5).reshape(5, 6)
         o = rng.uniform_array(30, 0.5, 1.5).reshape(5, 6)
         table = ev.per_step_table(p, o)
-        assert table.horizon == 6
         assert len(table.per_step) == 6
-        assert [r.step for r in table.per_step] == [1, 2, 3, 4, 5, 6]
-        assert table.average.step == 0
+        for j, row in enumerate(table.per_step):  # step j + 1 at index j
+            assert row == column(p[:, j], o[:, j])
 
     def test_average_row_is_mean_of_steps(self):
         rng = Rng(3)
@@ -148,9 +152,21 @@ class TestPerStepTable:
         with pytest.raises(ValueError, match="matching"):
             ev.per_step_table(np.zeros((3, 4)), np.zeros((3, 5)))
 
-    def test_zero_windows_rejected(self):
-        with pytest.raises(ValueError, match="at least one window"):
-            ev.per_step_table(np.zeros((0, 4)), np.zeros((0, 4)))
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+    def test_zero_windows_or_steps_rejected(self, shape):
+        with pytest.raises(ValueError, match="at least one window and one step"):
+            ev.per_step_table(np.zeros(shape), np.zeros(shape))
+
+    @given(st.integers(1, 24), st.integers(1, 300), st.integers(0, 2 ** 32 - 1),
+           st.floats(-3, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_bits_match_the_column_reference(self, horizon, windows, seed, exponent):
+        rng = np.random.default_rng(seed)
+        o = rng.uniform(0.1, 2.0, (windows, horizon)) * 10.0 ** exponent
+        p = o + rng.normal(0.0, 0.3, (windows, horizon)) * 10.0 ** exponent
+        table = ev.per_step_table(p, o)
+        rows = [(r.mae, r.rmse, r.wape) for r in [*table.per_step, table.average]]
+        assert rows == oracles.column_table(p, o)
 
 
 class TestPersistence:
@@ -172,9 +188,17 @@ class TestIqr:
         q1, q3, spread = ev.iqr([7.0] * 6)
         assert spread == 0.0
 
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError, match=">= 4"):
-            ev.iqr([1.0, 2.0, 3.0])
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            ev.iqr([])
+
+    @pytest.mark.parametrize("values, expected", [
+        ([5.0], (5.0, 5.0, 0.0)),
+        ([1.0, 3.0], (1.5, 2.5, 1.0)),
+        ([1.0, 2.0, 4.0], (1.5, 3.0, 1.5)),
+    ])
+    def test_fewer_than_four_values(self, values, expected):
+        assert ev.iqr(values) == expected
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=30),
            st.randoms(use_true_random=False))
@@ -208,11 +232,9 @@ class TestOutliers:
 
 class TestImprovements:
     def table_from_wapes(self, wapes):
-        rows = [ev.StepMetrics(step=k + 1, mae=0.1, rmse=0.1, wape=w)
-                for k, w in enumerate(wapes)]
-        avg = ev.StepMetrics(step=0, mae=0.1, rmse=0.1,
-                             wape=float(np.mean(wapes)))
-        return ev.MetricsTable(horizon=len(wapes), per_step=rows, average=avg)
+        rows = [ev.StepMetrics(mae=0.1, rmse=0.1, wape=w) for w in wapes]
+        avg = ev.StepMetrics(mae=0.1, rmse=0.1, wape=float(np.mean(wapes)))
+        return ev.MetricsTable(rows, avg)
 
     def test_identical_tables_zero_deltas(self):
         t = self.table_from_wapes([10.0, 11.0, 12.0, 13.0])
@@ -255,30 +277,31 @@ class TestEmitReport:
 
     def test_csv_roundtrip(self, tmp_path):
         table = self.make_table()
-        path = tmp_path / "metrics.csv"
-        ev.write_metrics_csv(table, path)
-        restored = ev.parse_metrics_csv(path)
-        assert restored.horizon == table.horizon
-        for a, b in zip(restored.per_step, table.per_step):
+        ev.emit_report({"metrics": table}, tmp_path)
+        restored = ev.parse_metrics_csv(tmp_path / "metrics.csv")
+        assert len(restored.per_step) == len(table.per_step)
+        for a, b in zip([*restored.per_step, restored.average], [*table.per_step, table.average]):
             assert abs(a.mae - b.mae) < 1e-9
             assert abs(a.rmse - b.rmse) < 1e-9
             assert abs(a.wape - b.wape) < 1e-9
-        assert abs(restored.average.wape - table.average.wape) < 1e-9
 
-    def test_header_order_fixed(self, tmp_path):
-        path = tmp_path / "metrics.csv"
-        ev.write_metrics_csv(self.make_table(), path)
-        assert path.read_text().splitlines()[0] == "step,mae,rmse,wape"
+    def test_layout_fixed(self, tmp_path):
+        ev.emit_report({"metrics": self.make_table(horizon=3)}, tmp_path)
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines[0] == "step,mae,rmse,wape"
+        assert [line.partition(",")[0] for line in lines[1:]] == ["1", "2", "3", "average"]
 
-    def test_emit_writes_all_files(self, tmp_path):
-        before, after = self.make_table(1), self.make_table(2)
-        stats = ev.improvements(before, after)
-        written = ev.emit_report({"before": before, "after": after}, stats, tmp_path)
-        names = {p.name for p in written}
-        assert {"before.csv", "after.csv", "improvement.csv", "summary.csv"} <= names
-        assert "plot_before_wape.csv" in names
-        assert (tmp_path / "improvement.csv").read_text().splitlines()[0] == \
-            "step,delta_wape_pp"
+    def test_emit_writes_only_the_tables(self, tmp_path):
+        ev.emit_report({"before": self.make_table(1), "after": self.make_table(2)}, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["after.csv", "before.csv"]
+
+    def test_write_improvements(self, tmp_path):
+        stats = ev.improvements(self.make_table(1), self.make_table(2))
+        ev.write_improvements(stats, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["improvement.csv", "summary.csv"]
+        improvement = (tmp_path / "improvement.csv").read_text().splitlines()
+        assert improvement[0] == "step,delta_wape_pp"
+        assert [line.partition(",")[0] for line in improvement[1:]] == list("123456")
         assert (tmp_path / "summary.csv").read_text().splitlines()[0] == \
             "q1,q3,iqr,n_outliers"
 
@@ -286,4 +309,4 @@ class TestEmitReport:
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
         with pytest.raises((OSError, FileExistsError)):
-            ev.emit_report({"t": self.make_table()}, None, target / "sub")
+            ev.emit_report({"t": self.make_table()}, target / "sub")
