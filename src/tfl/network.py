@@ -27,6 +27,8 @@ h_final's gradients from the step-summed gate gradients, one GEMM each.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,9 +84,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def _gate_blocks(stacked: np.ndarray) -> list[np.ndarray]:
-    """Views of the GATES-ordered column blocks of a (B, 4H) gate array."""
-    hid = stacked.shape[1] // len(GATES)
-    return [stacked[:, k * hid:(k + 1) * hid] for k in range(len(GATES))]
+    """Views of the GATES-ordered blocks of a (..., 4H) gate array's last axis."""
+    hid = stacked.shape[-1] // len(GATES)
+    return [stacked[..., k * hid:(k + 1) * hid] for k in range(len(GATES))]
 
 
 def _glorot(rows: int, cols: int, rng: Rng) -> np.ndarray:
@@ -117,55 +119,62 @@ def init_output_layer(config: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
 class _SeqCache:
     """Everything the reversed pass needs from one LSTM run.
 
-    A run without the backprop cache keeps one reused slot of ``z``,
-    ``gates`` and ``tanh_c`` instead of one per step.
+    A run without the backprop cache keeps only ``h`` and the last cell
+    state (``c`` holds one slot); its step slots are gone with the run.
     """
 
-    z: np.ndarray       # (T, B, hidden+input): concatenated [h_prev, x]
-    gates: np.ndarray   # (T, B, 4 hidden): activated f, i, g (candidate), o
-    c: np.ndarray
-    tanh_c: np.ndarray
+    z: np.ndarray | None        # (T, B, hidden+input): concatenated [h_prev, x]
+    gates: np.ndarray | None    # (T, B, 4 hidden): activated f, i, g (candidate), o
+    c: np.ndarray               # (T, B, hidden), or the last cell state alone
+    tanh_c: np.ndarray | None
     h: np.ndarray       # (T, B, hidden)
     c0: np.ndarray      # (B, hidden)
 
 
 def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
-              c0: np.ndarray, keep: bool = True) -> _SeqCache:
-    """Run the recurrence over ``xs`` (T, B, input; input may be 0 wide) from (h0, c0).
+              c0: np.ndarray, h: np.ndarray, keep: bool = True) -> _SeqCache:
+    """Run the recurrence over ``xs`` (T, B, input; input may be 0 wide) from
+    (h0, c0), writing the hidden sequence into ``h`` (T, B, hidden; may be a
+    strided view).
 
     Every step writes into preallocated slots: one gate GEMM [h_prev, x_t] @ w.T,
     ``bias`` ((4H,) or (B, 4H)), the candidate's tanh saved aside while one
     in-place sigmoid covers all 4H columns, then the cell and hidden updates.
+    Without ``keep`` there is one slot of each, the cell state included,
+    updated in place.
     """
     T, B, width = xs.shape
     hid = h0.shape[1]
     slots = T if keep else 1
-    cache = _SeqCache(
-        z=np.empty((slots, B, hid + width)), gates=np.empty((slots, B, len(GATES) * hid)),
-        c=np.empty((T, B, hid)), tanh_c=np.empty((slots, B, hid)), h=np.empty((T, B, hid)), c0=c0,
-    )
+    z = np.empty((slots, B, hid + width))
+    gates = np.empty((slots, B, len(GATES) * hid))
+    tanh_c = np.empty((slots, B, hid))
+    c = np.empty((slots, B, hid))
+    # per slot, built once: the views a step writes, its four gate blocks last
+    steps = list(zip(z, gates, tanh_c, c, *_gate_blocks(gates)))
     w_t = w.T
     cand = slice(2 * hid, 3 * hid)
     g_act = np.empty((B, hid))
-    h, c = h0, c0
+    h_prev, c_prev = h0, c0
     for t in range(T):
-        s = t if keep else 0
-        z, act, tc, c_t, h_t = cache.z[s], cache.gates[s], cache.tanh_c[s], cache.c[t], cache.h[t]
-        z[:, :hid] = h
-        z[:, hid:] = xs[t]
-        np.matmul(z, w_t, out=act)
+        z_t, act, tc, c_t, f, i, g, o = steps[t if keep else 0]
+        h_t = h[t]
+        z_t[:, :hid] = h_prev
+        z_t[:, hid:] = xs[t]
+        np.matmul(z_t, w_t, out=act)
         act += bias
         np.tanh(act[:, cand], out=g_act)
         sigmoid(act, out=act)
         act[:, cand] = g_act
-        f, i, g, o = _gate_blocks(act)
-        np.multiply(f, c, out=c_t)
+        np.multiply(f, c_prev, out=c_t)
         np.multiply(i, g, out=h_t)  # h_t holds i*g until the hidden update
         c_t += h_t
         np.tanh(c_t, out=tc)
         np.multiply(o, tc, out=h_t)
-        h, c = h_t, c_t
-    return cache
+        h_prev, c_prev = h_t, c_t
+    if not keep:
+        z = gates = tanh_c = None
+    return _SeqCache(z=z, gates=gates, c=c, tanh_c=tanh_c, h=h, c0=c0)
 
 
 def _lstm_backward(
@@ -187,8 +196,9 @@ def _lstm_backward(
     dpre_seq = np.empty_like(cache.gates)
     dh_carry = dh_final.copy()
     dc_carry = dc_final.copy()
+    f_seq, i_seq, g_seq, o_seq = _gate_blocks(cache.gates)
     for t in reversed(range(T)):
-        f, i, g, o = _gate_blocks(cache.gates[t])
+        f, i, g, o = f_seq[t], i_seq[t], g_seq[t], o_seq[t]
         tc = cache.tanh_c[t]
         dh = dh_seq[t] + dh_carry
         dc = dh * o * (1.0 - tc ** 2) + dc_carry
@@ -226,8 +236,11 @@ def forward_batch(model: Seq2SeqModel, inputs: np.ndarray) -> ForwardCache:
 
 def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCache:
     """The forward pass; ``keep=False`` skips the per-step backprop cache and
-    keeps only the hidden and cell sequences that attention and the decoder's
-    initial state read."""
+    keeps only the hidden sequences that attention and the output layer read.
+
+    With attention the context and the decoder's h are written straight into
+    their halves of ``feats``.
+    """
     cfg, p = model.config, model.params
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_past:
@@ -236,20 +249,20 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     hid = cfg.hidden
     xs_enc = inputs.T[:, :, None]  # (T, B, 1)
     zero = np.zeros((B, hid))
-    enc = _run_lstm(p["enc.w"], p["enc.b"], xs_enc, zero, zero, keep)
-    h_final, c_final = enc.h[-1], enc.c[-1]
+    enc = _run_lstm(p["enc.w"], p["enc.b"], xs_enc, zero, zero,
+                    np.empty((cfg.n_past, B, hid)), keep)
+    h_final = enc.h[-1]
+    feats = np.empty((cfg.n_future, B, 2 * hid if cfg.attention else hid))
     w_h, w_x = np.hsplit(p["dec.w"], [hid])
-    dec_bias = h_final @ w_x.T + p["dec.b"]  # the constant input, projected once
-    dec = _run_lstm(w_h, dec_bias, np.empty((cfg.n_future, B, 0)), h_final, c_final, keep)
+    # the constant input, projected once; the (B, 4 hidden) bias goes with the run
+    dec = _run_lstm(w_h, h_final @ w_x.T + p["dec.b"], np.empty((cfg.n_future, B, 0)),
+                    h_final, enc.c[-1], feats[:, :, -hid:], keep)
+    attn = None
     if cfg.attention:
         enc_b = enc.h.transpose(1, 0, 2)  # (B, n_past, hidden): matmul batches over windows
         scores = np.matmul(dec.h.transpose(1, 0, 2), enc_b.transpose(0, 2, 1))
         attn = softmax(scores, axis=-1).transpose(1, 0, 2)
-        ctx = np.matmul(attn.transpose(1, 0, 2), enc_b).transpose(1, 0, 2)
-        feats = np.concatenate([ctx, dec.h], axis=2)
-    else:
-        attn = None
-        feats = dec.h
+        np.matmul(attn.transpose(1, 0, 2), enc_b, out=feats[:, :, :hid].transpose(1, 0, 2))
     preds = (feats @ p["out.w"]).T + p["out.b"][0]  # (B, n_future)
     assert_finite(preds, "forward predictions")
     return ForwardCache(enc=enc, dec=dec, preds=preds, attn=attn, feats=feats)
@@ -264,7 +277,7 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     """
     cfg, p = model.config, model.params
     if not isinstance(cache, ForwardCache) or any(
-            len(seq.gates) != len(seq.h) for seq in (cache.enc, cache.dec)):
+            seq.gates is None for seq in (cache.enc, cache.dec)):
         raise ValueError("backward requires the full ForwardCache from forward_batch")
     dpreds = np.asarray(dpreds, dtype=np.float64)
     if dpreds.shape != cache.preds.shape:
@@ -310,15 +323,49 @@ def output_grads(dpreds: np.ndarray, feats: np.ndarray) -> dict[str, np.ndarray]
 
 
 def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
-    """Predictions for many windows, ``PREDICT_CHUNK`` at a time to bound memory.
+    """Predictions for many windows, in ``PREDICT_CHUNK``-window chunks that
+    run concurrently on one lane per CPU this process may use.
 
-    No backprop cache is kept: a chunk of B windows holds the encoder and
-    decoder (h, c) sequences, 16 (n_past + n_future) B hidden bytes, plus
-    the decoder's projected input and one step's slots.
+    Lane 0 is the calling thread.  A free lane claims the next chunk, so a
+    slow CPU holds up only the chunk it runs, and chunk j fills slot j: each
+    chunk's bits and the output do not depend on the lane count.  numpy
+    releases the interpreter lock in the GEMMs and ufuncs where the time
+    goes.  No backprop cache is kept: a chunk holds the encoder and decoder
+    hidden sequences, the output layer's features and one step's slots.
+    The first error any lane raised, e.g. ``NumericError`` from non-finite
+    predictions, is raised here once every lane has joined.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    parts = [
-        _forward(model, inputs[k : k + PREDICT_CHUNK], keep=False).preds
-        for k in range(0, len(inputs), PREDICT_CHUNK)
-    ]
-    return np.concatenate(parts) if parts else np.empty((0, model.config.n_future))
+    if not len(inputs):
+        return np.empty((0, model.config.n_future))
+    chunks = [inputs[k:k + PREDICT_CHUNK] for k in range(0, len(inputs), PREDICT_CHUNK)]
+    parts: list[np.ndarray | None] = [None] * len(chunks)
+    # the CPUs this process may run on; platforms without affinity report all
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lanes = min(cpus or 1, len(chunks))
+    todo = iter(range(len(chunks)))
+    claim = threading.Lock()
+    errors: list[BaseException] = []
+
+    def lane() -> None:
+        while not errors:
+            with claim:
+                j = next(todo, None)
+            if j is None:
+                return
+            try:
+                parts[j] = _forward(model, chunks[j], keep=False).preds
+            except BaseException as exc:  # raised in the caller once every lane joins
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=lane) for _ in range(lanes - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        lane()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate(parts)

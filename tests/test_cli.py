@@ -39,13 +39,15 @@ def train_args(data, out, **overrides):
     return args
 
 
-def run_cli(*argv):
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
+def run_cli(*argv, **popen):
     """The command line in a child process, under Python's default warning
-    filters, so stderr is what a user sees."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    filters, so stderr is what a user sees; ``popen`` goes to subprocess.run."""
     code = "import sys; from tfl.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, timeout=120)
+                          env=CHILD_ENV, timeout=120, **popen)
 
 
 INF_FACTOR_ERROR = "data error: factor range must satisfy 0 <= a <= b < inf, got [0.5, inf]"
@@ -167,6 +169,28 @@ class TestTrainEvaluate:
         assert names, "evaluate produced no CSVs"
         for name in names:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity with at least two CPUs allowed")
+    def test_evaluate_bytes_do_not_depend_on_cpu_count(self, tmp_path):
+        # 1500 rows leave 290 test windows per model: three 128-window chunks
+        data = tmp_path / "long.csv"
+        assert main(["synth", "--out", str(data), "--length", "1500", "--seed", "3"]) == 0
+        models = [tmp_path / "plain.tfl", tmp_path / "attn.tfl"]
+        assert main(train_args(data, models[0], epochs="1")) == 0
+        assert main(train_args(data, models[1], epochs="1") + ["--attention"]) == 0
+        cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for name, popen in (("one_cpu", {"preexec_fn": lambda: os.sched_setaffinity(0, {cpu})}),
+                            ("all_cpus", {})):
+            out_dir = tmp_path / name
+            proc = run_cli("evaluate", "--model", ",".join(map(str, models)),
+                           "--data", str(data), "--out-dir", str(out_dir), **popen)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({p.name: p.read_bytes() for p in out_dir.glob("metrics_*.csv")})
+        assert sorted(outputs[0]) == [f"metrics_{stem}_{kind}.csv" for stem in ("attn", "plain")
+                                      for kind in ("raw", "scaled")]
+        assert outputs[0] == outputs[1]
 
     def test_evaluate_flat_test_tail_exits_zero(self, tmp_path, series_csv):
         # a flat test side gives every window the same error at a step
@@ -574,6 +598,17 @@ class TestReportCli:
         assert capsys.readouterr().err.splitlines() == [
             f"data error: {after}: line {line}: {problem}"]
         assert not out_dir.exists()
+
+
+class TestStartup:
+    def test_cli_import_loads_no_pool_or_logging_modules(self):
+        # every command pays for what importing tfl.cli loads, in RSS and start-up time
+        code = ("import sys, tfl.cli; print(' '.join(m for m in "
+                "('concurrent.futures', 'logging', 'queue') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=CHILD_ENV, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
 
 
 class TestExitCodes:

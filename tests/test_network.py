@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from tfl import network as net
+from tfl.errors import NumericError
 from tfl.numeric import Rng, sigmoid
 
 
@@ -64,9 +68,9 @@ def run_cell(params, xs):
     """One batched LSTM run from the zero state over a single sequence xs
     of shape (T, input)."""
     w, b = params
+    xs = np.asarray(xs, dtype=np.float64)[:, None, :]
     zero = np.zeros((1, len(b) // 4))
-    return net._run_lstm(w, b, np.asarray(xs, dtype=np.float64)[:, None, :],
-                         zero, zero)
+    return net._run_lstm(w, b, xs, zero, zero, np.empty((len(xs), 1, len(b) // 4)))
 
 
 class TestLstmStep:
@@ -369,8 +373,22 @@ class TestForwardProperties:
                 npt.assert_allclose(batch[k], net.forward_batch(model, windows[k:k + 1]).preds[0],
                                     rtol=1e-12, atol=1e-15)
 
-    def test_predict_batch_chunking(self, monkeypatch):
-        windows = Rng(10).uniform_array(28, 0, 1).reshape(7, 4)
+    @pytest.fixture()
+    def lanes(self, monkeypatch):
+        """Make predict_batch see ``cpus`` CPUs, and switch threads often."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def set_cpus(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+
+        yield set_cpus
+        sys.setswitchinterval(interval)
+
+    def test_predict_batch_chunking(self, monkeypatch, lanes):
+        lanes(4)
+        windows = Rng(10).uniform_array(160, 0, 1).reshape(40, 4)
         for attention in (False, True):
             model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
                                              attention=attention), Rng(9))
@@ -386,6 +404,26 @@ class TestForwardProperties:
                 npt.assert_array_equal(preds, np.concatenate(per_chunk))
                 npt.assert_allclose(preds, whole, atol=1e-15)
 
+    def test_predict_batch_of_no_windows(self):
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(9))
+        assert net.predict_batch(model, np.empty((0, 4))).shape == (0, 2)
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_predict_batch_error_raised_after_every_lane_joins(self, monkeypatch, lanes,
+                                                               attention):
+        # an exception a helper lane left unhandled would also show as
+        # PytestUnhandledThreadExceptionWarning, which the suite turns into an error
+        lanes(4)
+        monkeypatch.setattr(net, "PREDICT_CHUNK", 3)
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
+                                         attention=attention), Rng(9))
+        model.params["out.b"][0] = np.inf
+        windows = Rng(10).uniform_array(160, 0, 1).reshape(40, 4)
+        threads = threading.active_count()
+        with pytest.raises(NumericError, match="non-finite values in forward predictions"):
+            net.predict_batch(model, windows)
+        assert threading.active_count() == threads
+
     @pytest.mark.parametrize("attention", [False, True])
     def test_predict_batch_default_chunks_match_forward_batch(self, attention):
         # 300 windows: two full 128-window chunks and a 44-window tail
@@ -396,7 +434,8 @@ class TestForwardProperties:
         npt.assert_array_equal(net.predict_batch(model, windows), np.concatenate(per_chunk))
 
     @pytest.mark.parametrize("attention", [False, True])
-    def test_predict_batch_keeps_no_backprop_cache(self, attention):
+    def test_predict_batch_keeps_no_backprop_cache(self, lanes, attention):
+        lanes(2)
         model = net.init(net.ModelConfig(n_past=12, n_future=6, hidden=100, attention=attention),
                          Rng(1))
         windows = Rng(2).uniform_array(512 * 12, 0, 1).reshape(512, 12)
@@ -406,8 +445,9 @@ class TestForwardProperties:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the full cache of one 512-window chunk alone is about 70 MB; four
-        # 128-window chunks without it peak near 6 MB (plain) and 8 MB (attention)
+        # the full cache of one 512-window chunk alone is about 70 MB; without
+        # it a 128-window chunk peaks near 3.4 MB (plain) and 4.1 MB
+        # (attention), and two lanes run two chunks at once
         assert peak < 12e6
 
     def test_backward_rejects_inference_cache(self):
