@@ -161,19 +161,23 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
         blocks: dict[str, np.ndarray] = {}
         for _ in range(n_blocks):
             (nlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "block name length"))
-            name = _read_exact(fh, nlen, path, "block name").decode("utf-8")
+            raw_name = _read_exact(fh, nlen, path, "block name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: block name is not UTF-8: {raw_name!r}") from exc
             if name not in expected or name in blocks:
-                raise ValueError(f"{path}: unexpected or repeated weight block '{name}'")
+                raise ValueError(f"{path}: unexpected or repeated weight block {name!r}")
             shape = expected[name]
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path, "block ndim"))
             if ndim != len(shape):
-                raise ValueError(f"{path}: block '{name}' has {ndim} dims, config implies {shape}")
+                raise ValueError(f"{path}: block {name!r} has {ndim} dims, config implies {shape}")
             dims = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim, path, "block dims"))
             if dims != shape:
                 raise ValueError(
-                    f"{path}: block '{name}' has shape {dims}, config implies {shape}"
+                    f"{path}: block {name!r} has shape {dims}, config implies {shape}"
                 )
-            raw = _read_exact(fh, 8 * math.prod(shape), path, f"block '{name}' data")
+            raw = _read_exact(fh, 8 * math.prod(shape), path, f"block {name!r} data")
             blocks[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last weight block")

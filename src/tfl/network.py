@@ -23,6 +23,11 @@ The decoder's input is h_final at every step, so its input projection
 h_final @ W_x.T + b is formed once per batch as a (batch, 4 hidden) bias
 and a decoder step is only the recurrent GEMM; backward forms W_x's and
 h_final's gradients from the step-summed gate gradients, one GEMM each.
+
+The forward pass runs at the dtype of the params it is given.  Training,
+every gradient and the model file are float64; ``predict_batch`` forecasts
+from a float32 copy and returns float64, so a forecast can differ from the
+float64 forward's in about the 7th significant digit.
 """
 
 from __future__ import annotations
@@ -141,20 +146,21 @@ def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
     ``bias`` ((4H,) or (B, 4H)), the candidate's tanh saved aside while one
     in-place sigmoid covers all 4H columns, then the cell and hidden updates.
     Without ``keep`` there is one slot of each, the cell state included,
-    updated in place.
+    updated in place.  The slots take ``w``'s dtype.
     """
     T, B, width = xs.shape
     hid = h0.shape[1]
     slots = T if keep else 1
-    z = np.empty((slots, B, hid + width))
-    gates = np.empty((slots, B, len(GATES) * hid))
-    tanh_c = np.empty((slots, B, hid))
-    c = np.empty((slots, B, hid))
+    dtype = w.dtype
+    z = np.empty((slots, B, hid + width), dtype)
+    gates = np.empty((slots, B, len(GATES) * hid), dtype)
+    tanh_c = np.empty((slots, B, hid), dtype)
+    c = np.empty((slots, B, hid), dtype)
     # per slot, built once: the views a step writes, its four gate blocks last
     steps = list(zip(z, gates, tanh_c, c, *_gate_blocks(gates)))
     w_t = w.T
     cand = slice(2 * hid, 3 * hid)
-    g_act = np.empty((B, hid))
+    g_act = np.empty((B, hid), dtype)
     h_prev, c_prev = h0, c0
     for t in range(T):
         z_t, act, tc, c_t, f, i, g, o = steps[t if keep else 0]
@@ -239,23 +245,25 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     keeps only the hidden sequences that attention and the output layer read.
 
     With attention the context and the decoder's h are written straight into
-    their halves of ``feats``.
+    their halves of ``feats``.  Everything runs at the dtype of the params:
+    float64 for training, float32 for ``predict_batch``'s copy.
     """
     cfg, p = model.config, model.params
-    inputs = np.asarray(inputs, dtype=np.float64)
+    dtype = p["enc.w"].dtype
+    inputs = np.asarray(inputs, dtype=dtype)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_past:
         raise ValueError(f"expected inputs (batch, {cfg.n_past}), got {inputs.shape}")
     B = inputs.shape[0]
     hid = cfg.hidden
     xs_enc = inputs.T[:, :, None]  # (T, B, 1)
-    zero = np.zeros((B, hid))
+    zero = np.zeros((B, hid), dtype)
     enc = _run_lstm(p["enc.w"], p["enc.b"], xs_enc, zero, zero,
-                    np.empty((cfg.n_past, B, hid)), keep)
+                    np.empty((cfg.n_past, B, hid), dtype), keep)
     h_final = enc.h[-1]
-    feats = np.empty((cfg.n_future, B, 2 * hid if cfg.attention else hid))
+    feats = np.empty((cfg.n_future, B, 2 * hid if cfg.attention else hid), dtype)
     w_h, w_x = np.hsplit(p["dec.w"], [hid])
     # the constant input, projected once; the (B, 4 hidden) bias goes with the run
-    dec = _run_lstm(w_h, h_final @ w_x.T + p["dec.b"], np.empty((cfg.n_future, B, 0)),
+    dec = _run_lstm(w_h, h_final @ w_x.T + p["dec.b"], np.empty((cfg.n_future, B, 0), dtype),
                     h_final, enc.c[-1], feats[:, :, -hid:], keep)
     attn = None
     if cfg.attention:
@@ -334,10 +342,17 @@ def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
     hidden sequences, the output layer's features and one step's slots.
     The first error any lane raised, e.g. ``NumericError`` from non-finite
     predictions, is raised here once every lane has joined.
+
+    The forecasts are computed in float32, from a float32 copy of the
+    params that the lanes share, and returned as float64; they can differ
+    from ``forward_batch``'s float64 predictions in about the 7th
+    significant digit.  ``model`` itself is left as it is.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if not len(inputs):
         return np.empty((0, model.config.n_future))
+    model32 = Seq2SeqModel(model.config, {name: arr.astype(np.float32)
+                                          for name, arr in model.params.items()})
     chunks = [inputs[k:k + PREDICT_CHUNK] for k in range(0, len(inputs), PREDICT_CHUNK)]
     parts: list[np.ndarray | None] = [None] * len(chunks)
     # the CPUs this process may run on; platforms without affinity report all
@@ -354,7 +369,7 @@ def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
             if j is None:
                 return
             try:
-                parts[j] = _forward(model, chunks[j], keep=False).preds
+                parts[j] = _forward(model32, chunks[j], keep=False).preds
             except BaseException as exc:  # raised in the caller once every lane joins
                 errors.append(exc)
 
@@ -368,4 +383,4 @@ def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
             helper.join()
     if errors:
         raise errors[0]
-    return np.concatenate(parts)
+    return np.concatenate(parts).astype(np.float64)

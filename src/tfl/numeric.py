@@ -1,8 +1,9 @@
-"""Dense float64 primitives and a deterministic random stream.
+"""Dense float primitives and a deterministic random stream.
 
 Everything downstream (network, training, augmentation) builds on the
-handful of operations here.  All array math is 64-bit; matrices are plain
-2-D ``numpy`` arrays in row-major layout.
+handful of operations here.  Array math is 64-bit, except that ``sigmoid``
+and ``softmax`` keep a float32 input's dtype for float32 inference;
+matrices are plain 2-D ``numpy`` arrays in row-major layout.
 
 The random generator is a hand-rolled splitmix64 (Steele, Lea & Flood's
 mixing constants) rather than the platform default, so that a seed
@@ -84,16 +85,22 @@ class Rng:
             indices[i], indices[j] = indices[j], indices[i]
 
 
+def _float_array(x) -> np.ndarray:
+    """``x`` as an array: float32 keeps its dtype, anything else is float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
+
+
 def sigmoid(x, out=None):
     """Logistic 1 / (1 + exp(-x)), in place: negate, exp, add one, reciprocal.
 
-    For x below about -709, exp(-x) overflows to inf (silently) and the
-    result is exactly 0.  Wherever the logistic is a normal float the
-    relative error stays within about two ulp.  ``out`` (may be ``x``
-    itself) receives the result; a scalar input without ``out`` returns a
-    float.
+    For x below about -709 (about -88 in float32), exp(-x) overflows to inf
+    (silently) and the result is exactly 0.  Wherever the logistic is a
+    normal float the relative error stays within about two ulp.  ``out``
+    (may be ``x`` itself) receives the result; a scalar input without
+    ``out`` returns a float.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _float_array(x)
     res = np.negative(x, out=np.empty_like(x) if out is None else out)
     with np.errstate(over="ignore"):
         np.exp(res, out=res)
@@ -106,7 +113,7 @@ def sigmoid(x, out=None):
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Max-subtracted softmax along ``axis``; rejects empty input."""
-    v = np.asarray(v, dtype=np.float64)
+    v = _float_array(v)
     if v.size == 0:
         raise ValueError("softmax of empty input")
     shifted = v - np.max(v, axis=axis, keepdims=True)

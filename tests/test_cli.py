@@ -645,9 +645,9 @@ class TestExitCodes:
 # updates them and records the old and new values in CHANGES.md.
 GOLDEN = {
     False: ("16965caae2ed28fccd412dde241a143e3bbf94979b9961610e9ee098da755b4b",
-            "707fca0d0c00566b4972feca73b26823b902a5e00ff7e0882dad655a4bb96edf"),
+            "e613076de6dde2a6e588f0c5be05b413ffc2218688598b0631692c585c356a22"),
     True: ("0cef3c7f1a50abde1ceff57bec5f6a348b6d105422400a59d81b94ab403593ed",
-           "c85e09e459f439fc28e258f8bd7b653f6d39393678f0c68f0626af8f6d4187cf"),
+           "fdea8decbdedf51309825f43142a38c727d3ea1323dc17573377eec8bea8e8fc"),
 }
 
 

@@ -37,6 +37,14 @@ def with_first_dims(raw: bytes, dims: tuple[int, int]) -> bytes:
     return raw[:at] + struct.pack("<2I", *dims) + raw[at + 8:]
 
 
+def with_first_name(raw: bytes, name: bytes) -> bytes:
+    """The model file ``raw`` with the first weight block's name replaced."""
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    at = 12 + hlen + 4                                  # past the block count
+    (nlen,) = struct.unpack("<I", raw[at : at + 4])
+    return raw[:at] + struct.pack("<I", len(name)) + name + raw[at + 4 + nlen:]
+
+
 # each malformed file, built from a valid one, and the message it must give
 MALFORMED = {
     "unknown_config_key": (lambda raw: with_header(raw, lambda h: {
@@ -202,6 +210,20 @@ class TestRejection:
                      "--out", str(tmp_path / "out.tfl")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:"), err
+
+    @pytest.mark.parametrize("name, problem", [
+        (b"enc\nwf", r"unexpected or repeated weight block 'enc\nwf'"),
+        (b"\xffnc.wf", r"block name is not UTF-8: b'\xffnc.wf'"),
+    ])
+    def test_bad_block_name_is_one_line_naming_the_file(self, tmp_path, capsys, name, problem):
+        path = tmp_path / "m.tfl"
+        mio.save_model(make_model(), ScalerParams(0.0, 1.0), {**PROV, "split": 0.5}, path)
+        path.write_bytes(with_first_name(path.read_bytes(), name))
+        data = tmp_path / "series.csv"
+        data.write_text("timestamp,bps\n" + "".join(f"{300 * k},{k + 1}\n" for k in range(20)))
+        assert main(["evaluate", "--model", str(path), "--data", str(data),
+                     "--out-dir", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"data error: {path}: {problem}"]
 
     def test_unknown_scaler_key_rejected(self, tmp_path):
         path = tmp_path / "m.tfl"

@@ -24,6 +24,18 @@ def zero_model(n_past=4, n_future=3, hidden=5, attention=False) -> net.Seq2SeqMo
         config=cfg, params={name: np.zeros(shape) for name, shape in net.param_shapes(cfg).items()})
 
 
+def float32_copy(model: net.Seq2SeqModel) -> net.Seq2SeqModel:
+    """The model with float32 params, as ``predict_batch`` runs it."""
+    return net.Seq2SeqModel(model.config, {name: arr.astype(np.float32)
+                                           for name, arr in model.params.items()})
+
+
+# predict_batch's float32 forecasts against the float64 forward, in scaled
+# units: half a float32 ulp at 1.0.  The largest gap these tests' models
+# show is 3.5e-8 (numpy 2.4.6 on OpenBLAS, x86-64).
+FLOAT32_GAP = 2.0 ** -24
+
+
 def lstm(model: net.Seq2SeqModel, prefix: str) -> tuple[np.ndarray, np.ndarray]:
     return model.params[prefix + ".w"], model.params[prefix + ".b"]
 
@@ -392,17 +404,18 @@ class TestForwardProperties:
         for attention in (False, True):
             model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
                                              attention=attention), Rng(9))
+            model32 = float32_copy(model)
             whole = net.forward_batch(model, windows).preds
             for chunk in (1, 3, len(windows), len(windows) + 5):
                 monkeypatch.setattr(net, "PREDICT_CHUNK", chunk)
                 preds = net.predict_batch(model, windows)
                 # OpenBLAS rounds a GEMM of very few rows differently in the
-                # last bit, so the same chunks through forward_batch are the
-                # bitwise reference
-                per_chunk = [net.forward_batch(model, windows[k:k + chunk]).preds
+                # last bit, so the same chunks through the float32 forward are
+                # the bitwise reference
+                per_chunk = [net._forward(model32, windows[k:k + chunk], keep=False).preds
                              for k in range(0, len(windows), chunk)]
                 npt.assert_array_equal(preds, np.concatenate(per_chunk))
-                npt.assert_allclose(preds, whole, atol=1e-15)
+                npt.assert_allclose(preds, whole, rtol=0, atol=FLOAT32_GAP)
 
     def test_predict_batch_of_no_windows(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(9))
@@ -430,8 +443,24 @@ class TestForwardProperties:
         model = net.init(net.ModelConfig(n_past=12, n_future=6, hidden=24, attention=attention),
                          Rng(3))
         windows = Rng(4).uniform_array(300 * 12, 0, 1).reshape(300, 12)
-        per_chunk = [net.forward_batch(model, windows[k:k + 128]).preds for k in (0, 128, 256)]
-        npt.assert_array_equal(net.predict_batch(model, windows), np.concatenate(per_chunk))
+        model32 = float32_copy(model)
+        per_chunk = [net._forward(model32, windows[k:k + 128], keep=False).preds
+                     for k in (0, 128, 256)]
+        preds = net.predict_batch(model, windows)
+        npt.assert_array_equal(preds, np.concatenate(per_chunk))
+        npt.assert_allclose(preds, net.forward_batch(model, windows).preds,
+                            rtol=0, atol=FLOAT32_GAP)
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_predict_batch_returns_float64_and_leaves_params_as_they_were(self, attention):
+        model = net.init(net.ModelConfig(n_past=12, n_future=6, hidden=24, attention=attention),
+                         Rng(3))
+        before = {name: arr.tobytes() for name, arr in model.params.items()}
+        preds = net.predict_batch(model, Rng(4).uniform_array(300 * 12, 0, 1).reshape(300, 12))
+        assert preds.dtype == np.float64
+        for name, arr in model.params.items():
+            assert arr.dtype == np.float64, name
+            assert arr.tobytes() == before[name], name
 
     @pytest.mark.parametrize("attention", [False, True])
     def test_predict_batch_keeps_no_backprop_cache(self, lanes, attention):
@@ -446,9 +475,9 @@ class TestForwardProperties:
         finally:
             tracemalloc.stop()
         # the full cache of one 512-window chunk alone is about 70 MB; without
-        # it a 128-window chunk peaks near 3.4 MB (plain) and 4.1 MB
-        # (attention), and two lanes run two chunks at once
-        assert peak < 12e6
+        # it two lanes running float32 chunks peak at 3.3-3.9 MB (plain) and
+        # 3.7-4.6 MB (attention), against 6.7 and 8.0 MB for float64 chunks
+        assert peak < 6e6
 
     def test_backward_rejects_inference_cache(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))

@@ -136,6 +136,47 @@ class TestSoftmax:
         assert abs(softmax(v).sum() - 1.0) < 1e-12
 
 
+class TestFloat32:
+    """sigmoid and softmax keep a float32 input's dtype, as float32 inference
+    needs; every other input is computed in float64."""
+
+    def test_sigmoid_keeps_float32(self):
+        xs = spread_sample().astype(np.float32)
+        with np.errstate(over="ignore"):
+            expected = (np.float32(1) / (np.float32(1) + np.exp(-xs))).view(np.int32)
+        got = sigmoid(xs)
+        assert got.dtype == np.float32
+        npt.assert_array_equal(got.view(np.int32), expected)
+        buf = xs.copy()
+        assert sigmoid(buf, out=buf) is buf
+        npt.assert_array_equal(buf.view(np.int32), expected)
+
+    def test_float32_sigmoid_saturates_to_exact_zero(self):
+        # float32 exp overflows above about 88.72
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sigmoid(np.float32([-89, -104, -1000]))
+        assert got.dtype == np.float32
+        npt.assert_array_equal(got, 0.0)
+
+    def test_softmax_keeps_float32(self):
+        v = np.random.default_rng(4).normal(scale=5, size=(50, 7))
+        got = softmax(v.astype(np.float32))
+        assert got.dtype == np.float32
+        npt.assert_allclose(got, softmax(v), rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int64, list])
+    def test_other_inputs_give_float64_bits_as_before(self, dtype):
+        grid = np.linspace(-750, 750, 6000).reshape(-1, 3).round()
+        given = grid.tolist() if dtype is list else grid.astype(dtype)
+        x = np.asarray(given, dtype=np.float64)
+        ev = np.exp(x - x.max(axis=-1, keepdims=True))
+        for got, expected in ((sigmoid(given), one_exp_sigmoid(x)),
+                              (softmax(given), ev / ev.sum(axis=-1, keepdims=True))):
+            assert got.dtype == np.float64
+            npt.assert_array_equal(bits(got), bits(expected))
+
+
 class TestRng:
     def test_degenerate_range(self):
         assert Rng(1).uniform(1.0, 1.0) == 1.0
