@@ -84,7 +84,7 @@ def load_config_file(path) -> dict[str, str]:
                 if not sep or not key:
                     raise UsageError(f"{path}: line {lineno}: expected key=value")
                 if key in values:
-                    raise UsageError(f"{path}: line {lineno}: repeated key '{key}'")
+                    raise UsageError(f"{path}: line {lineno}: repeated key {key!r}")
                 values[key] = value.strip()
     except OSError as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
@@ -105,7 +105,7 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
     file_values = load_config_file(args.config) if args.config else {}
     unknown = sorted(set(file_values) - {opt.name for opt in opts})
     if unknown:
-        raise UsageError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
+        raise UsageError(f"{args.config}: unknown config key(s): {', '.join(map(repr, unknown))}")
     resolved = {}
     for opt in opts:
         flag_value = getattr(args, opt.name)

@@ -160,7 +160,7 @@ def parse_metrics_csv(path) -> MetricsTable:
                     raise ValueError(f"expected {expected}, got {label!r}")
                 values = [float(text) for text in texts]
                 if not all(math.isfinite(v) for v in values):
-                    raise ValueError(f"non-finite value in {','.join(texts)}")
+                    raise ValueError(f"non-finite value in {','.join(texts)!r}")
                 labels.append(label)
                 rows.append(StepMetrics(*values))
             if labels[-1:] != ["average"]:

@@ -55,13 +55,8 @@ def _canonical_json(obj) -> bytes:
 def save_model(model: Seq2SeqModel, scaler: ScalerParams | None, provenance: dict, path) -> None:
     """Write the model losslessly (64-bit weights) with config and provenance."""
     header = {
-        "config": {
-            "n_past": model.config.n_past,
-            "n_future": model.config.n_future,
-            "hidden": model.config.hidden,
-            "attention": model.config.attention,
-        },
-        "scaler": None if scaler is None else {"min": scaler.min, "max": scaler.max},
+        "config": dataclasses.asdict(model.config),
+        "scaler": None if scaler is None else dataclasses.asdict(scaler),
         "provenance": provenance,
     }
     blob = _canonical_json(header)

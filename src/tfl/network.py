@@ -33,7 +33,6 @@ float64 forward's in about the 7th significant digit.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,56 +330,37 @@ def output_grads(dpreds: np.ndarray, feats: np.ndarray) -> dict[str, np.ndarray]
 
 
 def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
-    """Predictions for many windows, in ``PREDICT_CHUNK``-window chunks that
-    run concurrently on one lane per CPU this process may use.
+    """Predictions for many windows, in ``PREDICT_CHUNK``-window chunks run
+    on a thread pool of one worker per CPU this process may use, at most one
+    per chunk.
 
-    Lane 0 is the calling thread.  A free lane claims the next chunk, so a
-    slow CPU holds up only the chunk it runs, and chunk j fills slot j: each
-    chunk's bits and the output do not depend on the lane count.  numpy
-    releases the interpreter lock in the GEMMs and ufuncs where the time
-    goes.  No backprop cache is kept: a chunk holds the encoder and decoder
-    hidden sequences, the output layer's features and one step's slots.
-    The first error any lane raised, e.g. ``NumericError`` from non-finite
-    predictions, is raised here once every lane has joined.
+    Chunk j fills slot j, so each chunk's bits and the output do not depend
+    on the worker count.  numpy releases the interpreter lock in the GEMMs
+    and ufuncs where the time goes.  No backprop cache is kept: a chunk
+    holds the encoder and decoder hidden sequences, the output layer's
+    features and one step's slots.  If chunks fail, e.g. with
+    ``NumericError`` from non-finite predictions, the lowest-numbered
+    failing chunk's error is raised once every worker has joined; chunks
+    still queued then are cancelled.
 
     The forecasts are computed in float32, from a float32 copy of the
-    params that the lanes share, and returned as float64; they can differ
+    params that the workers share, and returned as float64; they can differ
     from ``forward_batch``'s float64 predictions in about the 7th
     significant digit.  ``model`` itself is left as it is.
     """
+    # imported here: it loads logging, queue and traceback, which no other
+    # command needs at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     inputs = np.asarray(inputs, dtype=np.float64)
     if not len(inputs):
         return np.empty((0, model.config.n_future))
     model32 = Seq2SeqModel(model.config, {name: arr.astype(np.float32)
                                           for name, arr in model.params.items()})
     chunks = [inputs[k:k + PREDICT_CHUNK] for k in range(0, len(inputs), PREDICT_CHUNK)]
-    parts: list[np.ndarray | None] = [None] * len(chunks)
     # the CPUs this process may run on; platforms without affinity report all
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    lanes = min(cpus or 1, len(chunks))
-    todo = iter(range(len(chunks)))
-    claim = threading.Lock()
-    errors: list[BaseException] = []
-
-    def lane() -> None:
-        while not errors:
-            with claim:
-                j = next(todo, None)
-            if j is None:
-                return
-            try:
-                parts[j] = _forward(model32, chunks[j], keep=False).preds
-            except BaseException as exc:  # raised in the caller once every lane joins
-                errors.append(exc)
-
-    helpers = [threading.Thread(target=lane) for _ in range(lanes - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        lane()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
+    # leaving the block shuts the pool down, joining every worker
+    with ThreadPoolExecutor(min(cpus or 1, len(chunks))) as pool:
+        parts = list(pool.map(lambda chunk: _forward(model32, chunk, keep=False).preds, chunks))
     return np.concatenate(parts).astype(np.float64)

@@ -325,6 +325,19 @@ class TestTrainEvaluate:
             f"error: {config}: line 3: expected key=value"]
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("text, problem", [
+        ("a\x0bb=1\n", "unknown config key(s): 'a\\x0bb'"),
+        ("length=50\nlen\x0bgth=1\nlen\x0bgth=2\n", "line 3: repeated key 'len\\x0bgth'"),
+    ])
+    def test_config_key_with_line_break_is_quoted(self, tmp_path, capsys, text, problem):
+        # str.splitlines() breaks at \x0b; quoted, the message stays one line
+        config = tmp_path / "c.conf"
+        config.write_text(text)
+        out = tmp_path / "run" / "y.csv"
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {config}: {problem}"]
+        assert not out.parent.exists()
+
     def test_rerun_from_echoed_config(self, tmp_path, series_csv):
         first = tmp_path / "one" / "m.tfl"
         assert main(train_args(series_csv, first)) == 0
@@ -458,7 +471,7 @@ class TestTransferCli:
         adapted = tmp_path / "run" / "adapted.tfl"
         assert main(["transfer", "--config", str(config), "--out", str(adapted)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {config}: unknown config key(s): phase2_epoch"]
+            f"error: {config}: unknown config key(s): 'phase2_epoch'"]
         assert trained == [] and not adapted.parent.exists()
 
 
@@ -540,7 +553,7 @@ class TestEchoRoundTrip:
         assert main([command, "--config", str(old_echo), *out]) == 1
         key = removed.partition("=")[0]
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {old_echo}: unknown config key(s): {key}"]
+            f"error: {old_echo}: unknown config key(s): {key!r}"]
         assert trained == [] and not second.exists()
 
 
@@ -562,8 +575,10 @@ BAD_AFTER_TABLES = [
     (GOOD_TABLE[:3] + [""] + GOOD_TABLE[3:], 4, "expected 4 columns, got 0"),
     (GOOD_TABLE[:3] + ["3,0.1,high,13"] + GOOD_TABLE[4:], 4,
      "could not convert string to float: 'high'"),
-    (GOOD_TABLE[:3] + ["3,0.1,0.2,nan"] + GOOD_TABLE[4:], 4, "non-finite value in 0.1,0.2,nan"),
-    (GOOD_TABLE[:3] + ["3,inf,0.2,13"] + GOOD_TABLE[4:], 4, "non-finite value in inf,0.2,13"),
+    (GOOD_TABLE[:3] + ["3,0.1,0.2,nan"] + GOOD_TABLE[4:], 4, "non-finite value in '0.1,0.2,nan'"),
+    (GOOD_TABLE[:3] + ["3,inf,0.2,13"] + GOOD_TABLE[4:], 4, "non-finite value in 'inf,0.2,13'"),
+    # str.splitlines() breaks at \x0b; quoted, the message stays one line
+    (GOOD_TABLE[:1] + ["1,1,1,nan\x0b"] + GOOD_TABLE[2:], 2, "non-finite value in '1,1,nan\\x0b'"),
 ]
 
 
@@ -650,6 +665,19 @@ GOLDEN = {
            "fdea8decbdedf51309825f43142a38c727d3ea1323dc17573377eec8bea8e8fc"),
 }
 
+# SHA-256 of each metrics table from TestGoldenHash's multi-chunk evaluate,
+# on the same numpy and BLAS as GOLDEN
+GOLDEN_CHUNKED = {
+    "metrics_attn_raw.csv":
+        "d6dc29925f05a3a8f9a8acb9140e3992bff81a23ac190712d7009e641cadc6ac",
+    "metrics_attn_scaled.csv":
+        "3691ab265b8a13693879a3d01a94e6199f80956363dd73db03fcbac9a703a781",
+    "metrics_plain_raw.csv":
+        "8fa5f8738d2bc2764eb02e5e50e1dd66f25b065723b51c9f4a7a231baea318be",
+    "metrics_plain_scaled.csv":
+        "3f6ccc6b26c66dc167402debaeff9751fceea74204d96bc06781a852736551d4",
+}
+
 
 class TestGoldenHash:
     @pytest.mark.parametrize("attention", [False, True])
@@ -672,3 +700,17 @@ class TestGoldenHash:
         hashes = (mio.file_sha256(adapted), mio.file_sha256(out_dir / "metrics_adapted_raw.csv"))
         assert hashes == GOLDEN[attention]
 
+    def test_multi_chunk_evaluate_bits_pinned(self, tmp_path, series_csv):
+        # 1700 rows leave 323 test windows per model: chunks of 128, 128 and
+        # 67, a count that is not a multiple of 8
+        models = [tmp_path / "plain.tfl", tmp_path / "attn.tfl"]
+        for model, flag in zip(models, ("--no-attention", "--attention")):
+            assert main(train_args(series_csv, model, **{"n-past": "12", "n-future": "6"})
+                        + [flag]) == 0
+        target_csv = tmp_path / "target.csv"
+        assert main(["synth", "--out", str(target_csv), "--length", "1700", "--seed", "21"]) == 0
+        out_dir = tmp_path / "eval"
+        assert main(["evaluate", "--model", ",".join(map(str, models)),
+                     "--data", str(target_csv), "--out-dir", str(out_dir)]) == 0
+        hashes = {p.name: mio.file_sha256(p) for p in sorted(out_dir.glob("metrics_*.csv"))}
+        assert hashes == GOLDEN_CHUNKED

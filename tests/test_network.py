@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -436,6 +437,27 @@ class TestForwardProperties:
         with pytest.raises(NumericError, match="non-finite values in forward predictions"):
             net.predict_batch(model, windows)
         assert threading.active_count() == threads
+
+    def test_predict_batch_raises_the_lowest_failing_chunks_error(self, monkeypatch, lanes):
+        # chunk 5 fails at once, chunk 2 only after 0.2 s: the error raised is
+        # chunk 2's, whatever order the chunks fail in
+        lanes(4)
+        monkeypatch.setattr(net, "PREDICT_CHUNK", 4)
+        forward = net._forward
+
+        def forward_failing_chunks(model, inputs, keep):
+            chunk = int(inputs[0, 0]) // 4
+            if chunk == 2:
+                time.sleep(0.2)
+            if chunk in (2, 5):
+                raise ValueError(f"chunk {chunk}")
+            return forward(model, inputs, keep)
+
+        monkeypatch.setattr(net, "_forward", forward_failing_chunks)
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(9))
+        windows = np.repeat(np.arange(40.0)[:, None], 4, axis=1)  # window k holds k
+        with pytest.raises(ValueError, match="^chunk 2$"):
+            net.predict_batch(model, windows)
 
     @pytest.mark.parametrize("attention", [False, True])
     def test_predict_batch_default_chunks_match_forward_batch(self, attention):
