@@ -103,16 +103,18 @@ class WindowedDataset:
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+_CSV_BLOCK_ROWS = 8192  # rows formatted per write, so memory stays flat
 
 
 def _parse_timestamp(text: str) -> int:
     """Exact epoch microseconds from integer epoch seconds or an ISO-8601
     string (naive = UTC)."""
     text = text.strip()
-    try:
-        return int(text) * 1_000_000
-    except ValueError:
-        pass
+    if ":" not in text:  # int() never accepts a colon; skip its failure on ISO stamps
+        try:
+            return int(text) * 1_000_000
+        except ValueError:
+            pass
     iso = text.replace("Z", "+00:00")
     dt = datetime.fromisoformat(iso)
     if dt.tzinfo is None:
@@ -127,8 +129,9 @@ def load_csv(path) -> tuple[TimeSeries, int]:
     filled by linear interpolation; the returned count is the number of
     interpolated points.  Rows that do not parse, non-monotone timestamps,
     gaps that are not a whole number of steps, and negative values are
-    rejected.  Timestamps are read as exact microseconds, and each gap is
-    their integer difference in seconds, so a 0.1 s grid is uniform.
+    rejected, and so is a grid that starts or ends outside years 1-9999.
+    Timestamps are read as exact microseconds, and each gap is their
+    integer difference in seconds, so a 0.1 s grid is uniform.
     """
     first = last = None  # epoch microseconds
     gaps: list[float] = []
@@ -190,7 +193,17 @@ def load_csv(path) -> tuple[TimeSeries, int]:
         start = _EPOCH + first * _MICROSECOND
     except OverflowError:
         raise DataError(f"{path}: first timestamp out of range") from None
+    _check_last_stamp(path, start, len(filled), step)
     return TimeSeries(filled, start=start, interval=step), warnings
+
+
+def _check_last_stamp(path, start: datetime, n: int, interval: float) -> None:
+    """DataError unless row n-1 of a grid, where ``write_csv`` and ``split``
+    place it, lies within datetime's range (up to year 9999)."""
+    try:
+        start + timedelta(seconds=(n - 1) * interval)
+    except OverflowError:
+        raise DataError(f"{path}: last timestamp out of range") from None
 
 
 def _unfillable(path, deltas: np.ndarray, slots: np.ndarray, total: float) -> DataError:
@@ -216,19 +229,32 @@ def _fill_gaps(values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def write_csv(series: TimeSeries, path) -> None:
-    """Emit ``timestamp,bps`` rows; values keep full float precision.
+    """Emit ``timestamp,bps`` rows with CRLF line ends; values keep full
+    float precision.
 
+    Row k is stamped ``start + timedelta(seconds=k * interval)``, rounded to
+    the microsecond as ``timedelta`` rounds it, with a four-digit year.
     Timestamps carry microseconds unless the start and the interval are
-    both whole seconds.
+    both whole seconds.  A last timestamp past year 9999 is a DataError
+    raised before the file is opened.
     """
-    whole = series.start.microsecond == 0 and float(series.interval).is_integer()
-    fmt = "%Y-%m-%dT%H:%M:%SZ" if whole else "%Y-%m-%dT%H:%M:%S.%fZ"
+    n = len(series.values)
+    interval = float(series.interval)
+    if n:
+        _check_last_stamp(path, series.start, n, interval)
+    unit = "s" if series.start.microsecond == 0 and interval.is_integer() else "us"
+    # the start's wall clock, read as UTC, as strftime would print it
+    base = (series.start.replace(tzinfo=timezone.utc) - _EPOCH) // _MICROSECOND
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for k, v in enumerate(series.values):
-            ts = series.start + timedelta(seconds=k * series.interval)
-            writer.writerow([ts.strftime(fmt), repr(float(v))])
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for lo in range(0, n, _CSV_BLOCK_ROWS):
+            hi = min(lo + _CSV_BLOCK_ROWS, n)
+            # timedelta's rounding: whole seconds exactly, then the fraction
+            # times 1e6 in float, rounded half to even
+            frac, whole = np.modf(np.arange(lo, hi, dtype=np.float64) * interval)
+            micros = base + whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
+            stamps = np.datetime_as_string(micros.view("datetime64[us]"), unit=unit, timezone="UTC")
+            fh.writelines(f"{t},{v!r}\r\n" for t, v in zip(stamps.tolist(), series.values[lo:hi].tolist()))
 
 
 def summary_stats(series) -> SummaryStats:

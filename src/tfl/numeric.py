@@ -55,34 +55,60 @@ class Rng:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        """One draw from [lo, hi).  Degenerate lo == hi returns lo."""
-        if lo > hi:
-            raise ValueError(f"uniform bounds out of order: lo={lo} > hi={hi}")
-        frac = (self.next_u64() >> 11) * _INV_2_53
-        value = lo + frac * (hi - lo)
-        if value >= hi and lo < hi:
-            # guard against rounding up to the open end
-            value = math.nextafter(hi, lo)
-        return value
+    def _draws(self, n: int) -> np.ndarray:
+        """The next ``n`` ``next_u64`` outputs as a uint64 array.
+
+        Draw k mixes state + k * gamma; uint64 array arithmetic wraps mod
+        2^64 exactly as the masked integer code does.
+        """
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return z
 
     def uniform_array(self, n: int, lo: float, hi: float) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Box-Muller; consumes exactly two draws per value."""
-        u1 = ((self.next_u64() >> 11) + 1) * _INV_2_53  # (0, 1]
-        u2 = (self.next_u64() >> 11) * _INV_2_53
-        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        """``n`` draws from [lo, hi), one stream output each.  Degenerate
+        lo == hi gives lo."""
+        if lo > hi:
+            raise ValueError(f"uniform bounds out of order: lo={lo} > hi={hi}")
+        frac = (self._draws(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        values = lo + frac * (hi - lo)
+        if lo < hi:
+            # guard against rounding up to the open end
+            values[values >= hi] = math.nextafter(hi, lo)
+        return values
 
     def normal_array(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        return np.array([self.normal(mu, sigma) for _ in range(n)], dtype=np.float64)
+        """Box-Muller; consumes exactly two draws per value.
+
+        ``log`` and ``cos`` are the ``math`` module's, element by element:
+        numpy's ``log`` differs from it in the last bit on some inputs.
+        """
+        z = self._draws(2 * n) >> np.uint64(11)
+        u1 = (z[0::2] + np.uint64(1)).astype(np.float64) * _INV_2_53  # (0, 1]
+        u2 = z[1::2].astype(np.float64) * _INV_2_53
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, n))
+        angle = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
+        return mu + sigma * radius * angle
 
     def shuffle(self, indices: np.ndarray) -> None:
-        """In-place Fisher-Yates using this stream."""
-        for i in range(len(indices) - 1, 0, -1):
-            j = self.next_u64() % (i + 1)
-            indices[i], indices[j] = indices[j], indices[i]
+        """In-place Fisher-Yates using this stream: position i, from the
+        end down, swaps with j = next draw mod (i + 1)."""
+        n = len(indices)
+        if n < 2:
+            return
+        positions = np.arange(n - 1, 0, -1, dtype=np.uint64)
+        picks = (self._draws(n - 1) % (positions + np.uint64(1))).tolist()
+        items = np.asarray(indices).tolist()
+        for i, j in zip(range(n - 1, 0, -1), picks):
+            items[i], items[j] = items[j], items[i]
+        indices[:] = items
 
 
 def _float_array(x) -> np.ndarray:

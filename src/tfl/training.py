@@ -72,12 +72,20 @@ def huber(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 @dataclass
 class AdamState:
     """First/second moments of the trained blocks plus step count; one
-    state per run."""
+    state per run.
+
+    ``flat`` holds, row by row, the first moments, the second moments and
+    two work rows of every trained block laid end to end; ``m``, ``v`` and
+    ``step`` map each block to its view of rows 0, 1 and 2.  A step runs
+    the moment arithmetic once over all blocks and allocates nothing.
+    """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int
     lr: float
+    flat: np.ndarray
+    step: dict[str, np.ndarray]
 
     @classmethod
     def fresh(cls, model: Seq2SeqModel, lr: float, trainable: Iterable[str] | None = None) -> "AdamState":
@@ -88,15 +96,25 @@ class AdamState:
         if unknown:
             raise ValueError(f"unknown trainable block(s): {sorted(unknown)}")
         params = {name: arr for name, arr in model.params.items() if name in names}
-        m = {name: np.zeros_like(arr) for name, arr in params.items()}
-        v = {name: np.zeros_like(arr) for name, arr in params.items()}
-        return cls(m=m, v=v, t=0, lr=lr)
+        bounds = np.cumsum([0] + [arr.size for arr in params.values()])
+        flat = np.zeros((4, bounds[-1]))
+
+        def views(row: np.ndarray) -> dict[str, np.ndarray]:
+            return {name: row[a:b].reshape(arr.shape)
+                    for (name, arr), a, b in zip(params.items(), bounds, bounds[1:])}
+
+        return cls(m=views(flat[0]), v=views(flat[1]), t=0, lr=lr, flat=flat, step=views(flat[2]))
 
 
 def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamState) -> None:
     """Bias-corrected Adam update in place of the blocks ``state`` holds
     moments for; ``grads`` names exactly those blocks.  Every other block
-    stays bitwise unchanged."""
+    stays bitwise unchanged.
+
+    Elementwise, in this order: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
+    then p -= (lr (m / c1)) / (sqrt(v / c2) + eps), each operation writing
+    into the state's own rows.
+    """
     if set(grads) != set(state.m):
         raise ValueError(
             f"gradient tree does not match the trained blocks: "
@@ -110,17 +128,24 @@ def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamStat
     state.t += 1
     correction1 = 1.0 - BETA1 ** state.t
     correction2 = 1.0 - BETA2 ** state.t
-    for name, m in state.m.items():
-        g = grads[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g ** 2
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p = params[name]
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    m, v, step, denom = state.flat
+    for name, g in grads.items():
+        np.multiply(g, 1.0 - BETA1, out=state.step[name])
+    m *= BETA1
+    m += step
+    for name, g in grads.items():
+        np.square(g, out=state.step[name])
+    step *= 1.0 - BETA2
+    v *= BETA2
+    v += step
+    np.divide(m, correction1, out=step)
+    step *= state.lr
+    np.divide(v, correction2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    step /= denom
+    for name, update in state.step.items():
+        params[name] -= update
 
 
 @dataclass

@@ -6,15 +6,86 @@ accuracy figure and the naive baseline the acceptance criteria compare with.
 ``column_table`` computes a per-step metrics table one 1-D column at a time
 with ``mae``, ``rmse`` and ``wape``; ``evaluation.per_step_table`` must
 match it bit for bit.
+
+The scalar references below are the element-at-a-time forms of vectorised
+``tfl`` code, which must match them bit for bit (byte for byte for the CSV
+writer): ``uniform`` and ``normal`` draw one value from an ``Rng`` with
+``next_u64``, ``shuffle`` swaps as it draws, ``write_csv`` formats one row
+at a time with ``strftime`` and ``csv.writer``, and ``adam_step`` is Adam
+as one allocating expression per moment.
 """
 
 from __future__ import annotations
 
+import csv
+import math
+from datetime import timedelta
+
 import numpy as np
 
+from tfl.dataset import CSV_HEADER, TimeSeries
 from tfl.network import GATES, Seq2SeqModel, backward_batch, forward_batch
 from tfl.numeric import Rng
-from tfl.training import huber
+from tfl.training import BETA1, BETA2, EPS, AdamState, huber
+
+_INV_2_53 = 2.0 ** -53
+
+
+def uniform(rng: Rng, lo: float, hi: float) -> float:
+    """One draw from [lo, hi).  Degenerate lo == hi returns lo."""
+    if lo > hi:
+        raise ValueError(f"uniform bounds out of order: lo={lo} > hi={hi}")
+    frac = (rng.next_u64() >> 11) * _INV_2_53
+    value = lo + frac * (hi - lo)
+    if value >= hi and lo < hi:
+        # guard against rounding up to the open end
+        value = math.nextafter(hi, lo)
+    return value
+
+
+def normal(rng: Rng, mu: float = 0.0, sigma: float = 1.0) -> float:
+    """Box-Muller; consumes exactly two draws per value."""
+    u1 = ((rng.next_u64() >> 11) + 1) * _INV_2_53  # (0, 1]
+    u2 = (rng.next_u64() >> 11) * _INV_2_53
+    return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def shuffle(rng: Rng, indices) -> None:
+    """In-place Fisher-Yates, one draw per swap."""
+    for i in range(len(indices) - 1, 0, -1):
+        j = rng.next_u64() % (i + 1)
+        indices[i], indices[j] = indices[j], indices[i]
+
+
+def write_csv(series: TimeSeries, path) -> None:
+    """``dataset.write_csv`` one row at a time (``strftime`` does not pad
+    years before 1000 to four digits; the vectorised writer does)."""
+    whole = series.start.microsecond == 0 and float(series.interval).is_integer()
+    fmt = "%Y-%m-%dT%H:%M:%SZ" if whole else "%Y-%m-%dT%H:%M:%S.%fZ"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for k, v in enumerate(series.values):
+            ts = series.start + timedelta(seconds=k * series.interval)
+            writer.writerow([ts.strftime(fmt), repr(float(v))])
+
+
+def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamState) -> None:
+    """Bias-corrected Adam with a fresh array per operation."""
+    state.t += 1
+    correction1 = 1.0 - BETA1 ** state.t
+    correction2 = 1.0 - BETA2 ** state.t
+    for name, m in state.m.items():
+        g = grads[name]
+        v = state.v[name]
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g ** 2
+        m_hat = m / correction1
+        v_hat = v / correction2
+        p = model.params[name]
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def mae(pred: np.ndarray, obs: np.ndarray) -> float:

@@ -125,6 +125,18 @@ class TestAugment:
         assert proc.stderr.splitlines() == [INF_FACTOR_ERROR]
         assert not out_dir.exists()
 
+    def test_grid_past_year_9999_is_one_line_data_error(self, tmp_path):
+        # only the first row is in range; the grid's end is past 9999-12-31
+        data = tmp_path / "far.csv"
+        data.write_text("timestamp,bps\n" + "".join(f"{253402298800 + 60 * k},{k + 1.0}\n"
+                                                    for k in range(40)))
+        out_dir = tmp_path / "aug"
+        proc = run_cli("augment", "--data", str(data), "--out-dir", str(out_dir),
+                       "--copies", "1", "--levels", "1")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [f"data error: {data}: last timestamp out of range"]
+        assert not out_dir.exists()
+
 
 class TestTrainEvaluate:
     def test_train_produces_artifacts(self, tmp_path, series_csv):

@@ -10,6 +10,8 @@ from tfl import dataset as ds
 from tfl.cli import main
 from tfl.errors import DataError
 
+import oracles
+
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 MICROSECOND = timedelta(microseconds=1)
@@ -41,6 +43,12 @@ class TestLoadCsv:
         series, _ = ds.load_csv(path)
         npt.assert_array_equal(series.values, [5.0, 6.0, 7.0])
 
+    def test_digits_only_stamp_is_epoch_seconds(self, tmp_path):
+        path = write_lines(tmp_path / "series.csv", ["timestamp,bps", "20240101,5.0", "20240401,6.0"])
+        series, _ = ds.load_csv(path)
+        assert series.start == EPOCH + timedelta(seconds=20240101)
+        assert series.interval == 300.0
+
     def test_gap_interpolated_with_warning(self, tmp_path):
         path = write_lines(tmp_path / "series.csv", [
             "timestamp,bps", "0,10.0", "300,20.0", "900,40.0",
@@ -66,6 +74,8 @@ class TestLoadCsv:
     @pytest.mark.parametrize("stamps, message", [
         # past datetime's year 9999
         (["1000000000000000", "1000000000000300"], "first timestamp out of range"),
+        # starts in 9999 and runs past its end
+        ([str(253402298800 + 60 * k) for k in range(40)], "last timestamp out of range"),
         # a gap beyond float range
         (["0", "1" + "0" * 310], "line 3: unparseable row"),
     ])
@@ -134,6 +144,56 @@ class TestLoadCsv:
         path.write_bytes(text.encode())
         ds.write_csv(ds.load_csv(path)[0], tmp_path / "out.csv")
         assert (tmp_path / "out.csv").read_bytes() == text.encode()
+
+
+class TestWriteCsvMatchesRowLoop:
+    """The block writer against the row-at-a-time ``csv.writer`` oracle."""
+
+    @given(
+        # the longest grid here spans about 8.2 years
+        start=st.datetimes(datetime(1000, 1, 1), datetime(9990, 12, 31), timezones=st.just(timezone.utc)),
+        whole_start=st.booleans(),
+        interval=st.one_of(st.sampled_from([0.1, 0.3, 0.5, 1.0, 60.0, 300.0, 1 / 3, 1e-6, 2.5e-7]),
+                           st.integers(1, 86_400).map(float),
+                           st.floats(1e-7, 1e4, allow_nan=False)),
+        length=st.integers(1, 3000),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_byte_identical(self, tmp_path_factory, start, whole_start, interval, length, seed):
+        if whole_start:
+            start = start.replace(microsecond=0)
+        values = np.random.default_rng(seed).uniform(0.0, 1e9, length)
+        values[::7] = np.round(values[::7])
+        series = ds.TimeSeries(values, start=start, interval=interval)
+        out = tmp_path_factory.mktemp("csv")
+        ds.write_csv(series, out / "got.csv")
+        oracles.write_csv(series, out / "expected.csv")
+        assert (out / "got.csv").read_bytes() == (out / "expected.csv").read_bytes()
+
+    def test_empty_series_writes_header(self, tmp_path):
+        ds.write_csv(ds.TimeSeries(np.array([])), tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == b"timestamp,bps\r\n"
+
+    def test_years_before_1000_are_zero_padded_and_read_back(self, tmp_path):
+        # strftime writes year 702 as "702", which fromisoformat rejects
+        original, _ = ds.load_csv(write_lines(tmp_path / "in.csv", ["timestamp,bps"] + [
+            f"{-40_000_000_000 + 300 * k},{k + 1.5!r}" for k in range(30)]))
+        assert original.start.year == 702
+        ds.write_csv(original, tmp_path / "out.csv")
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert lines[1] == "0702-06-15T00:53:20Z,1.5"
+        loaded, warnings = ds.load_csv(tmp_path / "out.csv")
+        assert warnings == 0
+        npt.assert_array_equal(loaded.values, original.values)
+        assert (loaded.start, loaded.interval) == (original.start, original.interval)
+
+    def test_last_stamp_past_9999_fails_before_the_file_is_opened(self, tmp_path):
+        series = ds.TimeSeries(np.ones(40), start=datetime(9999, 12, 31, 23, 50, tzinfo=timezone.utc),
+                               interval=60.0)
+        with pytest.raises(DataError, match="last timestamp out of range"):
+            ds.write_csv(series, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
 
 def scalar_gap_fill(path, gaps, values, step):

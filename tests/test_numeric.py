@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from tfl.numeric import Rng, sigmoid, softmax
 
+import oracles
+
 
 def one_exp_sigmoid(x):
     """1 / (1 + exp(-x)) as one plain expression: the bitwise oracle."""
@@ -179,11 +181,14 @@ class TestFloat32:
 
 class TestRng:
     def test_degenerate_range(self):
-        assert Rng(1).uniform(1.0, 1.0) == 1.0
+        npt.assert_array_equal(Rng(1).uniform_array(3, 1.0, 1.0), [1.0, 1.0, 1.0])
 
-    def test_bounds_rejected(self):
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_bounds_rejected(self, n):
+        rng = Rng(1)
         with pytest.raises(ValueError, match="out of order"):
-            Rng(1).uniform(2.0, 1.0)
+            rng.uniform_array(n, 2.0, 1.0)
+        assert rng.next_u64() == Rng(1).next_u64()
 
     def test_values_in_half_open_interval(self):
         rng = Rng(5)
@@ -196,9 +201,6 @@ class TestRng:
         assert abs(draws.mean() - 1.0) < 0.02
 
     def test_same_seed_same_stream(self):
-        a = [Rng(99).uniform(0, 1) for _ in range(5)]
-        b = [Rng(99).uniform(0, 1) for _ in range(5)]
-        assert a == b
         seq1 = Rng(7).uniform_array(100, 0, 1)
         seq2 = Rng(7).uniform_array(100, 0, 1)
         npt.assert_array_equal(seq1, seq2)
@@ -248,3 +250,63 @@ class TestRng:
         Rng(3).shuffle(b)
         npt.assert_array_equal(a, b)
         assert not np.array_equal(a, np.arange(20))
+
+
+class TestVectorisedStreams:
+    """The array methods against the scalar references in ``oracles``: the
+    same bits, and the stream left at the same state."""
+
+    SEEDS = [0, 1, 42, -5, 2 ** 64 - 1]
+
+    @staticmethod
+    def assert_same_state(rng, reference):
+        assert rng.next_u64() == reference.next_u64()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    def test_draws_are_next_u64_outputs(self, seed, n):
+        rng, reference = Rng(seed), Rng(seed)
+        draws = rng._draws(n)
+        assert draws.dtype == np.uint64
+        assert draws.tolist() == [reference.next_u64() for _ in range(n)]
+        self.assert_same_state(rng, reference)
+
+    @pytest.mark.parametrize("seed", SEEDS[::2])
+    @pytest.mark.parametrize("n", [0, 1, 100_000])
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (-2.0, 3.0), (-0.07, 0.07), (0.5, 1.5), (1.0, 1.0),
+                                        (0.25, math.nextafter(0.25, math.inf))])
+    def test_uniform_array_matches_scalar_draws(self, seed, n, lo, hi):
+        rng, reference = Rng(seed), Rng(seed)
+        got = rng.uniform_array(n, lo, hi)
+        expected = np.array([oracles.uniform(reference, lo, hi) for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == expected.tobytes()
+        self.assert_same_state(rng, reference)
+
+    def test_uniform_guard_fires_on_one_ulp_range(self):
+        lo = 0.25
+        hi = math.nextafter(lo, math.inf)
+        draws = Rng(3).uniform_array(1000, lo, hi)
+        # lo + frac * ulp rounds to hi for frac >= 0.5; the guard maps it back to lo
+        assert np.all(draws == lo)
+        assert np.any(lo + (Rng(3)._draws(1000) >> np.uint64(11)) * 2.0 ** -53 * (hi - lo) >= hi)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (5e8, 2e7), (-3.0, 0.1), (1.0, 0.0)])
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_normal_array_matches_scalar_draws(self, seed, mu, sigma, n):
+        rng, reference = Rng(seed), Rng(seed)
+        got = rng.normal_array(n, mu, sigma)
+        expected = np.array([oracles.normal(reference, mu, sigma) for _ in range(n)], dtype=np.float64)
+        assert got.tobytes() == expected.tobytes()
+        self.assert_same_state(rng, reference)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [0, 1, 2, 6332])
+    def test_shuffle_matches_swap_loop(self, seed, n):
+        rng, reference = Rng(seed), Rng(seed)
+        got, expected = np.arange(n), np.arange(n)
+        rng.shuffle(got)
+        oracles.shuffle(reference, expected)
+        npt.assert_array_equal(got, expected)
+        self.assert_same_state(rng, reference)

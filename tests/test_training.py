@@ -99,8 +99,8 @@ class TestAdamStep:
 
     def test_freeze_invariance_under_random_trainable_set(self):
         model = small_model(seed=3)
-        rng = Rng(8)
-        trainable = {name for name in model.params if rng.uniform(0, 1) < 0.5}
+        coins = Rng(8).uniform_array(len(model.params), 0, 1)
+        trainable = {name for name, coin in zip(model.params, coins) if coin < 0.5}
         state = tr.AdamState.fresh(model, lr=0.05, trainable=trainable)
         assert set(state.m) == set(state.v) == trainable
         before = snapshot(model)
@@ -113,6 +113,26 @@ class TestAdamStep:
                 npt.assert_array_equal(arr, before[name], err_msg=name)
             else:
                 assert not np.array_equal(arr, before[name]), name
+
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("hidden", [24, 100])
+    def test_in_place_step_matches_allocating_formula(self, attention, hidden):
+        model = small_model(attention=attention, seed=hidden, n_past=12, n_future=6, hidden=hidden)
+        reference = copy.deepcopy(model)
+        trainable = [name for name in model.params if name != "enc.b"]
+        state = tr.AdamState.fresh(model, lr=0.003, trainable=trainable)
+        ref_state = tr.AdamState.fresh(reference, lr=0.003, trainable=trainable)
+        rng = np.random.default_rng(hidden)
+        for _ in range(300):
+            grads = {name: rng.normal(scale=rng.choice([1e-6, 1e-2, 3.0]), size=model.params[name].shape)
+                     for name in trainable}
+            tr.adam_step(model, grads, state)
+            oracles.adam_step(reference, grads, ref_state)
+        for name, arr in model.params.items():
+            assert arr.tobytes() == reference.params[name].tobytes(), name
+        for name in trainable:
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
 
     def test_unknown_trainable_name_rejected(self):
         with pytest.raises(ValueError, match=r"unknown trainable block\(s\): \['out\.weight'\]"):
