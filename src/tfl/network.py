@@ -24,10 +24,13 @@ h_final @ W_x.T + b is formed once per batch as a (batch, 4 hidden) bias
 and a decoder step is only the recurrent GEMM; backward forms W_x's and
 h_final's gradients from the step-summed gate gradients, one GEMM each.
 
-The forward pass runs at the dtype of the params it is given.  Training,
-every gradient and the model file are float64; ``predict_batch`` forecasts
-from a float32 copy and returns float64, so a forecast can differ from the
-float64 forward's in about the 7th significant digit.
+The forward and backward passes run at the dtype of the params they are
+given: float32 in training (on a mirror of the float64 master weights, see
+``training.train``) and in ``predict_batch``, float64 in the tests'
+finite-difference check.  The model file is float64.  ``predict_batch``
+returns float64; a forecast can differ from the float64 forward's in about
+the 7th significant digit.  The pinned bits of trained models were taken
+with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
 """
 
 from __future__ import annotations
@@ -195,28 +198,41 @@ def _lstm_backward(
     extra gradients on the last state.  Returns the gate preactivation
     grads (T, B, 4 hidden), which are also the bias grads, the grad of w,
     and the gradients on the initial state.
+
+    Each gate's local derivative is formed for all steps at once, in place
+    of the gate grads, so a reverse step is five elementwise calls, one
+    broadcast copy and the recurrent GEMM.
     """
     T, B, hid = dh_seq.shape
     w_h = w[:, :hid]
-    dpre_seq = np.empty_like(cache.gates)
-    dh_carry = dh_final.copy()
-    dc_carry = dc_final.copy()
-    f_seq, i_seq, g_seq, o_seq = _gate_blocks(cache.gates)
+    f, i, g, o = _gate_blocks(cache.gates)
+    tc = cache.tanh_c
+    # a step's gate grads are [dc, dc, dc, dh] times these local derivatives
+    dpre_seq = np.subtract(1, cache.gates)
+    dpre_seq *= cache.gates  # the sigmoid's x (1 - x)
+    d_f, d_i, d_g, d_o = _gate_blocks(dpre_seq)
+    np.square(g, out=d_g)
+    np.subtract(1, d_g, out=d_g)  # the candidate's tanh: 1 - g^2
+    d_f[0] *= cache.c0
+    d_f[1:] *= cache.c[:-1]
+    d_i *= g
+    d_g *= i
+    d_o *= tc
+    dtc = np.square(tc)
+    np.subtract(1, dtc, out=dtc)
+    dtc *= o  # dh_t -> dc_t
+    dcdh = np.empty((B, len(GATES), hid), w.dtype)
+    dc, dh = dcdh[:, 0], dcdh[:, -1]
+    dh_carry, dc_carry = dh_final.copy(), dc_final.copy()
     for t in reversed(range(T)):
-        f, i, g, o = f_seq[t], i_seq[t], g_seq[t], o_seq[t]
-        tc = cache.tanh_c[t]
-        dh = dh_seq[t] + dh_carry
-        dc = dh * o * (1.0 - tc ** 2) + dc_carry
-        c_prev = cache.c[t - 1] if t > 0 else cache.c0
+        np.add(dh_seq[t], dh_carry, out=dh)
+        np.multiply(dh, dtc[t], out=dc)
+        dc += dc_carry
+        dcdh[:, 1:-1] = dc[:, None]
         dpre = dpre_seq[t]
-        np.concatenate([
-            dc * c_prev * f * (1.0 - f),
-            dc * g * i * (1.0 - i),
-            dc * i * (1.0 - g ** 2),
-            dh * tc * o * (1.0 - o),
-        ], axis=1, out=dpre)
-        dc_carry = dc * f
-        dh_carry = dpre @ w_h
+        np.multiply(dcdh.reshape(B, -1), dpre, out=dpre)
+        np.multiply(dc, f[t], out=dc_carry)
+        np.matmul(dpre, w_h, out=dh_carry)
     # the weight grad sums over every (step, window) row at once
     dw = dpre_seq.reshape(T * B, -1).T @ cache.z.reshape(T * B, -1)
     return dpre_seq, dw, dh_carry, dc_carry
@@ -245,7 +261,7 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
 
     With attention the context and the decoder's h are written straight into
     their halves of ``feats``.  Everything runs at the dtype of the params:
-    float64 for training, float32 for ``predict_batch``'s copy.
+    float32 for training's mirror and ``predict_batch``'s copy.
     """
     cfg, p = model.config, model.params
     dtype = p["enc.w"].dtype
@@ -278,7 +294,8 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
 def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of the (summed) loss wrt every parameter.
 
-    dpreds is dLoss/dpredictions, shape (batch, n_future).  Gradients flow
+    dpreds is dLoss/dpredictions, shape (batch, n_future), cast to the
+    params' dtype; every gradient comes at that dtype.  Gradients flow
     through the attention path and through both the decoder's repeated
     input and its initial state back into the encoder.
     """
@@ -286,7 +303,8 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     if not isinstance(cache, ForwardCache) or any(
             seq.gates is None for seq in (cache.enc, cache.dec)):
         raise ValueError("backward requires the full ForwardCache from forward_batch")
-    dpreds = np.asarray(dpreds, dtype=np.float64)
+    dtype = p["enc.w"].dtype
+    dpreds = np.asarray(dpreds, dtype=dtype)
     if dpreds.shape != cache.preds.shape:
         raise ValueError(f"loss gradient shape {dpreds.shape} != predictions {cache.preds.shape}")
     hid = cfg.hidden
@@ -295,7 +313,7 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
 
     dfeats = dy[:, :, None] * p["out.w"]  # (n_future, B, width)
 
-    denc_seq = np.zeros((cfg.n_past, B, hid))
+    denc_seq = np.zeros((cfg.n_past, B, hid), dtype)
     if cfg.attention:
         dctx = dfeats[:, :, :hid]
         ddec_seq = dfeats[:, :, hid:]  # a view: dfeats is this call's own array
@@ -308,7 +326,7 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     else:
         ddec_seq = dfeats
 
-    zero = np.zeros((B, hid))
+    zero = np.zeros((B, hid), dtype)
     w_h, w_x = np.hsplit(p["dec.w"], [hid])
     dec_dpre, dw_h, ddec_h0, ddec_c0 = _lstm_backward(w_h, cache.dec, ddec_seq, zero, zero)
     # h_final fed every step through the one projection and started the recurrence
@@ -324,8 +342,9 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
 
 def output_grads(dpreds: np.ndarray, feats: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of the output layer alone, from dLoss/dpredictions (batch,
-    n_future) and the features it read (n_future, batch, width)."""
-    dy = dpreds.T
+    n_future) and the features it read (n_future, batch, width), at the
+    features' dtype."""
+    dy = np.asarray(dpreds, dtype=feats.dtype).T
     return {"out.w": np.einsum("sb,sbk->k", dy, feats), "out.b": np.array([dy.sum()])}
 
 

@@ -2,8 +2,8 @@
 
 Everything downstream (network, training, augmentation) builds on the
 handful of operations here.  Array math is 64-bit, except that ``sigmoid``
-and ``softmax`` keep a float32 input's dtype for float32 inference;
-matrices are plain 2-D ``numpy`` arrays in row-major layout.
+and ``softmax`` keep a float32 input's dtype for float32 training and
+inference; matrices are plain 2-D ``numpy`` arrays in row-major layout.
 
 The random generator is a hand-rolled splitmix64 (Steele, Lea & Flood's
 mixing constants) rather than the platform default, so that a seed

@@ -113,7 +113,9 @@ def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamStat
 
     Elementwise, in this order: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     then p -= (lr (m / c1)) / (sqrt(v / c2) + eps), each operation writing
-    into the state's own rows.
+    into the state's own rows.  Moments, work rows and params are float64;
+    float32 gradients (what ``train`` passes) are widened exactly on entry,
+    so they give the bits of the same gradients cast to float64 first.
     """
     if set(grads) != set(state.m):
         raise ValueError(
@@ -130,11 +132,11 @@ def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamStat
     correction2 = 1.0 - BETA2 ** state.t
     m, v, step, denom = state.flat
     for name, g in grads.items():
-        np.multiply(g, 1.0 - BETA1, out=state.step[name])
+        np.multiply(g, 1.0 - BETA1, out=state.step[name], dtype=np.float64)
     m *= BETA1
     m += step
     for name, g in grads.items():
-        np.square(g, out=state.step[name])
+        np.square(g, out=state.step[name], dtype=np.float64)
     step *= 1.0 - BETA2
     v *= BETA2
     v += step
@@ -177,6 +179,12 @@ def train(
     Deterministic for a fixed seed: each epoch's shuffle order comes from
     the toolkit's own stream, batches are visited in order, and gradient
     reduction is a fixed summation.
+
+    Mixed precision: each step's forward and backward run on a float32
+    mirror of the float64 master weights, Huber is taken in float64 from the
+    float32 predictions, and ``adam_step`` updates the master weights in
+    float64; the trained blocks are then rounded into the mirror's arrays.
+    The bits were pinned with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -191,6 +199,8 @@ def train(
     model = copy.deepcopy(model)
     state = AdamState.fresh(model, cfg.lr, trainable)
     head_only = all(name.startswith("out.") for name in state.m)
+    mirror = Seq2SeqModel(mc, {name: arr.astype(np.float32) for name, arr in model.params.items()})
+    synced = [(mirror.params[name], model.params[name]) for name in state.m]
     rng = Rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
@@ -200,12 +210,14 @@ def train(
         for k in range(0, len(order), cfg.batch):
             idx = order[k : k + cfg.batch]
             inputs = data.inputs[idx]
-            fwd = _forward(model, inputs, keep=False) if head_only else forward_batch(model, inputs)
+            fwd = _forward(mirror, inputs, keep=False) if head_only else forward_batch(mirror, inputs)
             loss, dpred = huber(fwd.preds, data.targets[idx])
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite at step {state.t + 1}")
-            grads = output_grads(dpred, fwd.feats) if head_only else backward_batch(model, fwd, dpred)
+            grads = output_grads(dpred, fwd.feats) if head_only else backward_batch(mirror, fwd, dpred)
             adam_step(model, {name: grads[name] for name in state.m}, state)
+            for p32, p64 in synced:
+                np.copyto(p32, p64, casting="same_kind")
             total += loss * len(idx)
         history.append(total / len(data))
     return model, history

@@ -12,7 +12,10 @@ The scalar references below are the element-at-a-time forms of vectorised
 writer): ``uniform`` and ``normal`` draw one value from an ``Rng`` with
 ``next_u64``, ``shuffle`` swaps as it draws, ``write_csv`` formats one row
 at a time with ``strftime`` and ``csv.writer``, and ``adam_step`` is Adam
-as one allocating expression per moment.
+as one allocating expression per moment.  ``lstm_backward`` is the reverse
+LSTM pass one step at a time in float64; the step-vectorised pass must
+match it within a tolerance set by its dtype, since it groups the gate
+products differently.
 """
 
 from __future__ import annotations
@@ -179,3 +182,30 @@ def gradient_check(
                 continue
             worst = max(worst, abs(fd - bp) / scale)
     return worst
+
+
+def lstm_backward(w, cache, dh_seq, dh_final, dc_final):
+    """``network._lstm_backward`` one reverse step at a time, in float64 from
+    the cache's values whatever their dtype, with each gate's gradient as
+    its own product chain.  Returns (gate preactivation grads, w grad,
+    dh_0, dc_0)."""
+    def wide(arr):
+        return np.asarray(arr, dtype=np.float64)
+
+    T, B, hid = dh_seq.shape
+    gates, c, tanh_c = wide(cache.gates), wide(cache.c), wide(cache.tanh_c)
+    w_h = wide(w)[:, :hid]
+    dh_carry, dc_carry = wide(dh_final), wide(dc_final)
+    dpre_seq = np.empty_like(gates)
+    for t in reversed(range(T)):
+        f, i, g, o = np.split(gates[t], len(GATES), axis=1)
+        tc = tanh_c[t]
+        dh = wide(dh_seq[t]) + dh_carry
+        dc = dh * o * (1.0 - tc ** 2) + dc_carry
+        c_prev = c[t - 1] if t > 0 else wide(cache.c0)
+        dpre_seq[t] = np.concatenate([dc * c_prev * f * (1.0 - f), dc * g * i * (1.0 - i),
+                                      dc * i * (1.0 - g ** 2), dh * tc * o * (1.0 - o)], axis=1)
+        dc_carry = dc * f
+        dh_carry = dpre_seq[t] @ w_h
+    dw = np.einsum("tbk,tbj->kj", dpre_seq, wide(cache.z))
+    return dpre_seq, dw, dh_carry, dc_carry

@@ -4,7 +4,10 @@ The pipeline runs ``tfl.cli.main`` in-process in a fresh directory: two
 synths, a plain and an attention train, augment, a transfer with wavelet
 augmentation, a scratch train, stats, one evaluate of four models over 343
 test windows each (forecast chunks of 128, 128 and 87), report, a run with a
-required flag missing and a rerun from an echo file.  The SHA-256 of every
+required flag missing and a rerun from an echo file; then both trained
+models transferred to a 240-row target in batches of 16 and evaluated, and
+an n_past 12 / n_future 6 plain and attention pair evaluated over 323
+windows (chunks of 128, 128 and 67).  The SHA-256 of every
 file it leaves, and each command's exit code, stdout and stderr, must equal
 ``golden_tree.json``; a mismatch names what moved.
 
@@ -28,7 +31,8 @@ from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("golden_tree.json")
 
-_MODEL = ["--n-past", "8", "--n-future", "3", "--hidden", "6", "--batch", "32", "--seed", "7"]
+_BODY = ["--hidden", "6", "--batch", "32", "--seed", "7"]
+_MODEL = ["--n-past", "8", "--n-future", "3", *_BODY]
 
 # target.csv has 1765 rows: split 0.8 leaves a 353-row test side, 343 windows
 PIPELINE = [
@@ -55,6 +59,21 @@ PIPELINE = [
      "--after", "eval/metrics_adapted_scaled.csv", "--out-dir", "report"],
     ["train", "--data", "target/target.csv"],
     ["augment", "--config", "aug/augment_config.txt", "--out-dir", "rerun"],
+    # a 240-row target: both source models transferred in batches of 16
+    ["synth", "--out", "small/target.csv", "--length", "240", "--base-bps", "3e8",
+     "--daily-amp", "1e8", "--noise-std", "1e7", "--seed", "21"],
+    *[["transfer", "--source-model", f"runs/{kind}/{kind}.tfl", "--data", "small/target.csv",
+       "--out", f"small/{kind}/adapted_{kind}.tfl", "--phase1-epochs", "1",
+       "--phase2-epochs", "1", "--batch", "16", "--seed", "5"] for kind in ("plain", "attn")],
+    ["evaluate", "--model", "small/plain/adapted_plain.tfl,small/attn/adapted_attn.tfl",
+     "--data", "small/target.csv", "--out-dir", "small/eval"],
+    # n_past 12 -> n_future 6 over 1700 rows: 323 test windows, chunks of 128, 128 and 67
+    *[["train", "--data", "source/source.csv", "--out", f"wide/{kind}/{kind}.tfl",
+       "--epochs", "1", f"--{flag}", "--n-past", "12", "--n-future", "6", *_BODY]
+      for kind, flag in (("plain", "no-attention"), ("attn", "attention"))],
+    ["synth", "--out", "wide/target.csv", "--length", "1700", "--seed", "21"],
+    ["evaluate", "--model", "wide/plain/plain.tfl,wide/attn/attn.tfl",
+     "--data", "wide/target.csv", "--out-dir", "wide/eval"],
 ]
 
 

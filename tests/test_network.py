@@ -13,6 +13,8 @@ from tfl import network as net
 from tfl.errors import NumericError
 from tfl.numeric import Rng, sigmoid
 
+import oracles
+
 
 def zero_lstm(hidden: int, input_width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((4 * hidden, hidden + input_width)), np.zeros(4 * hidden)
@@ -262,6 +264,29 @@ class TestBackward:
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
         with pytest.raises(ValueError, match="ForwardCache"):
             net.backward_batch(model, None, np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("hidden", [3, 24, 100])
+    def test_lstm_backward_matches_per_step_loop(self, dtype, hidden):
+        # tolerance fixed from the dtype: 32 ulps of each result's largest
+        # entry (the largest gap seen is 3.7, numpy 2.4.6 on OpenBLAS)
+        tol = 32 * np.finfo(dtype).eps
+        cfg = net.ModelConfig(n_past=12, n_future=6, hidden=hidden)
+        model = net.init(cfg, Rng(hidden))
+        model.params = {name: arr.astype(dtype) for name, arr in model.params.items()}
+        rng = Rng(hidden + 1)
+        cache = net.forward_batch(model, rng.uniform_array(32 * 12, 0, 1).reshape(32, 12))
+        for w, seq in ((model.params["enc.w"], cache.enc),
+                       (model.params["dec.w"][:, :hidden], cache.dec)):
+            steps = len(seq.h)
+            dh_seq, dh_final, dc_final = (
+                rng.uniform_array(n * 32 * hidden, -1, 1).reshape(-1, 32, hidden).astype(dtype)
+                for n in (steps, 1, 1))
+            got = net._lstm_backward(w, seq, dh_seq, dh_final[0], dc_final[0])
+            want = oracles.lstm_backward(w, seq, dh_seq, dh_final[0], dc_final[0])
+            for name, arr, ref in zip(("dpre", "dw", "dh0", "dc0"), got, want):
+                assert arr.dtype == dtype, name
+                npt.assert_allclose(arr, ref, rtol=0, atol=tol * np.abs(ref).max(), err_msg=name)
 
     def test_attention_single_position_matches_reduced_computation(self):
         """With one encoder position the attention weight is identically 1,

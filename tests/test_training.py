@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from tfl import model_io as mio
 from tfl import network as net
 from tfl import training as tr
 from tfl.dataset import WindowedDataset, make_windows
@@ -134,6 +135,27 @@ class TestAdamStep:
             assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
             assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
 
+    def test_float32_gradients_widen_exactly(self):
+        # training hands Adam float32 gradients: each moment update must equal
+        # the one on the same gradients cast to float64 first
+        model = small_model(hidden=24, seed=3)
+        wide = copy.deepcopy(model)
+        state = tr.AdamState.fresh(model, lr=0.003)
+        wide_state = tr.AdamState.fresh(wide, lr=0.003)
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            grads = {name: rng.normal(scale=rng.choice([1e-6, 1e-2, 3.0]),
+                                      size=arr.shape).astype(np.float32)
+                     for name, arr in model.params.items()}
+            tr.adam_step(model, grads, state)
+            tr.adam_step(wide, {name: g.astype(np.float64) for name, g in grads.items()},
+                         wide_state)
+        for name, arr in model.params.items():
+            assert arr.dtype == np.float64, name
+            assert arr.tobytes() == wide.params[name].tobytes(), name
+            assert state.m[name].tobytes() == wide_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == wide_state.v[name].tobytes(), name
+
     def test_unknown_trainable_name_rejected(self):
         with pytest.raises(ValueError, match=r"unknown trainable block\(s\): \['out\.weight'\]"):
             tr.AdamState.fresh(small_model(), lr=0.01, trainable=["out.b", "out.weight"])
@@ -195,6 +217,47 @@ class TestTrain:
         assert list(m1.params) == list(m2.params)
         for name, arr in m1.params.items():
             npt.assert_array_equal(arr, m2.params[name], err_msg=name)
+
+    @pytest.mark.parametrize("trainable", [None, ["out.w", "out.b"]])
+    def test_float32_mirror_equals_master_after_every_step(self, monkeypatch, trainable):
+        mirrors = []
+
+        def recorded(forward):
+            def run(model, *args, **kwargs):
+                mirrors.append(model)
+                return forward(model, *args, **kwargs)
+            return run
+
+        def assert_synced(master):
+            for name, arr in master.params.items():
+                assert arr.dtype == np.float64, name
+                assert mirrors[-1].params[name].tobytes() == arr.astype(np.float32).tobytes(), name
+
+        def adam_step(model, grads, state):
+            assert_synced(model)  # the previous step's update reached the mirror
+            real_adam_step(model, grads, state)
+
+        real_adam_step = tr.adam_step
+        monkeypatch.setattr(tr, "forward_batch", recorded(tr.forward_batch))
+        monkeypatch.setattr(tr, "_forward", recorded(tr._forward))
+        monkeypatch.setattr(tr, "adam_step", adam_step)
+        data = make_windows(Rng(4).uniform_array(60, 0, 1), 8, 3)
+        trained, _ = tr.train(small_model(seed=14), data,
+                              tr.TrainConfig(epochs=2, batch=8, lr=0.01, seed=3), trainable)
+        assert_synced(trained)
+        assert len(mirrors) == 2 * math.ceil(len(data) / 8)
+        assert all(mirror is mirrors[0] for mirror in mirrors)
+        assert mirrors[0] is not trained
+
+    def test_two_seeded_runs_write_identical_model_files(self, tmp_path):
+        model = small_model(attention=True, seed=15)
+        data = make_windows(Rng(5).uniform_array(80, 0, 1), 8, 3)
+        cfg = tr.TrainConfig(epochs=2, batch=16, lr=0.01, seed=8)
+        paths = [tmp_path / "first.tfl", tmp_path / "second.tfl"]
+        for path in paths:
+            trained, _ = tr.train(model, data, cfg)
+            mio.save_model(trained, None, {"seed": cfg.seed}, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_final_loss_below_initial(self):
         model = small_model(seed=9)
@@ -283,12 +346,16 @@ class TestTransfer:
             assert not np.shares_memory(arr, src[name]), name
 
 def reference_head_phase(source, data, epochs, batch, lr, seed):
-    """Transfer phase 1 as a full training step does it: the cached forward,
-    BPTT through the frozen body, then Adam on the output layer alone."""
+    """Transfer phase 1 as a full training step does it: the cached forward
+    and BPTT through the frozen body on a float32 copy of the model, then
+    float64 Adam on the output layer alone, whose new weights are written
+    back into the copy."""
     model = copy.deepcopy(source)
     model.params.update(net.init_output_layer(model.config, Rng(seed)))
     head = ("out.w", "out.b")
     state = tr.AdamState.fresh(model, lr, head)
+    model32 = net.Seq2SeqModel(model.config, {name: arr.astype(np.float32)
+                                              for name, arr in model.params.items()})
     rng = Rng(seed)
     history = []
     for _ in range(epochs):
@@ -297,10 +364,12 @@ def reference_head_phase(source, data, epochs, batch, lr, seed):
         total = 0.0
         for k in range(0, len(order), batch):
             idx = order[k : k + batch]
-            cache = net.forward_batch(model, data.inputs[idx])
+            cache = net.forward_batch(model32, data.inputs[idx])
             loss, dpred = tr.huber(cache.preds, data.targets[idx])
-            grads = net.backward_batch(model, cache, dpred)
+            grads = net.backward_batch(model32, cache, dpred)
             tr.adam_step(model, {name: grads[name] for name in head}, state)
+            for name in head:
+                model32.params[name][...] = model.params[name]
             total += loss * len(idx)
         history.append(total / len(data))
     return model, history
