@@ -7,8 +7,10 @@ test windows each (forecast chunks of 128, 128 and 87), report, a run with a
 required flag missing and a rerun from an echo file; then both trained
 models transferred to a 240-row target in batches of 16 and evaluated, and
 an n_past 12 / n_future 6 plain and attention pair evaluated over 323
-windows (chunks of 128, 128 and 67).  The SHA-256 of every
-file it leaves, and each command's exit code, stdout and stderr, must equal
+windows (chunks of 128, 128 and 67); last, at the benchmark's widths, a
+hidden 24 plain model trained and transferred with wavelet augmentation, and
+a hidden 100 attention model trained and evaluated over the same 323
+windows.  The SHA-256 of every file it leaves, and each command's exit code, stdout and stderr, must equal
 ``golden_tree.json``; a mismatch names what moved.
 
 A change that moves these bits on purpose rewrites the JSON with
@@ -74,6 +76,19 @@ PIPELINE = [
     ["synth", "--out", "wide/target.csv", "--length", "1700", "--seed", "21"],
     ["evaluate", "--model", "wide/plain/plain.tfl,wide/attn/attn.tfl",
      "--data", "wide/target.csv", "--out-dir", "wide/eval"],
+    # the benchmark's widths: a hidden 24 plain model transferred with
+    # augmentation, and a hidden 100 attention model evaluated
+    ["train", "--data", "source/source.csv", "--out", "h24/plain.tfl", "--epochs", "1",
+     "--no-attention", "--n-past", "12", "--n-future", "6", "--hidden", "24",
+     "--batch", "32", "--seed", "7"],
+    ["transfer", "--source-model", "h24/plain.tfl", "--data", "target/target.csv",
+     "--out", "h24/adapted.tfl", "--phase1-epochs", "1", "--phase2-epochs", "1",
+     "--augment-copies", "1", "--levels", "2", "--batch", "64", "--seed", "5"],
+    ["train", "--data", "source/source.csv", "--out", "h100/attn.tfl", "--epochs", "1",
+     "--attention", "--n-past", "12", "--n-future", "6", "--hidden", "100",
+     "--batch", "32", "--seed", "7"],
+    ["evaluate", "--model", "h100/attn.tfl", "--data", "wide/target.csv",
+     "--out-dir", "h100/eval"],
 ]
 
 
