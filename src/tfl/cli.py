@@ -116,9 +116,12 @@ def _resolve(args: argparse.Namespace, opts: list[Opt]) -> dict:
     for opt in opts:
         flag_value = getattr(args, opt.name)
         if flag_value is not None:
-            # the echo writes one key=value line per option
-            if any(brk in _fmt_value(flag_value) for brk in "\r\n"):
+            # the echo writes one key=value line per option, read back stripped
+            text = _fmt_value(flag_value)
+            if any(brk in text for brk in "\r\n"):
                 raise UsageError(f"{opt.flag}: value holds a line break")
+            if text != text.strip():
+                raise UsageError(f"{opt.flag}: value starts or ends with whitespace")
             resolved[opt.name] = flag_value
         elif opt.name in file_values:
             try:

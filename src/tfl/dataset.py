@@ -135,7 +135,8 @@ def load_csv(path) -> tuple[TimeSeries, int]:
     filled by linear interpolation; the returned count is the number of
     interpolated points.  Rows that do not parse, non-monotone timestamps,
     gaps that are not a whole number of steps, and negative values are
-    rejected, and so is a grid that starts or ends outside years 1-9999.
+    rejected, and so is a grid that starts or ends outside years 1-9999 or
+    holds more than 2^20 slots plus 4 per data row.
     Timestamps are read as exact microseconds, and each gap is their
     integer difference in seconds, so a 0.1 s grid is uniform.
     """
@@ -185,10 +186,10 @@ def load_csv(path) -> tuple[TimeSeries, int]:
     with np.errstate(over="ignore"):  # an infinite ratio fails the slot total below
         ratio = deltas / step
     slots = np.rint(ratio)  # half to even, as round() does
-    # the grid size in float, checked before any int64 cast can wrap; 2^62
-    # leaves room for the float sum's rounding
+    # the grid size in float, checked before any int64 cast can wrap: at most
+    # 2^20 slots plus 4 per data row, so a few far timestamps cannot fill memory
     total = slots.sum() + 1
-    if not total < 2.0 ** 62:
+    if not total <= 2 ** 20 + 4 * len(values):
         raise _unfillable(path, deltas, slots, total)
     bad = np.flatnonzero(np.abs(ratio - slots) > 1e-6)
     if bad.size:
@@ -197,10 +198,7 @@ def load_csv(path) -> tuple[TimeSeries, int]:
             f"{path}: timestamp gap of {deltas[k]}s at row {k + 2} is not a "
             f"multiple of the {step}s interval"
         )
-    try:
-        filled, warnings = _fill_gaps(np.array(values), slots.astype(np.int64))
-    except MemoryError:
-        raise _unfillable(path, deltas, slots, total) from None
+    filled, warnings = _fill_gaps(np.array(values), slots.astype(np.int64))
     try:
         start = _EPOCH + first * _MICROSECOND
     except OverflowError:
@@ -228,7 +226,8 @@ def _fill_gaps(values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, int]:
     j = np.arange(1, ends[-1] + 1) - np.repeat(ends - slots, slots)
     filled = np.empty(ends[-1] + 1)
     filled[0] = values[0]
-    filled[1:] = values[k] + (values[k + 1] - values[k]) * j / slots[k]
+    with np.errstate(over="ignore"):  # an overflow left in place fails TimeSeries' check
+        filled[1:] = values[k] + (values[k + 1] - values[k]) * j / slots[k]
     filled[ends] = values[1:]  # the rows themselves, not their interpolated form
     return filled, int(ends[-1]) - len(slots)
 
@@ -260,18 +259,19 @@ def write_csv(series: TimeSeries, path) -> None:
 
 
 def summary_stats(series) -> SummaryStats:
-    """Population moments of a series (or raw array)."""
+    """Population moments of a series (or raw array); a DataError if one overflows."""
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
     if len(values) < 2:
         raise DataError(f"summary statistics need >= 2 points, got {len(values)}")
-    mean = float(values.mean())
-    centered = values - mean
-    var = float(np.mean(centered ** 2))
-    std = math.sqrt(var)
-    if std == 0.0:
-        skew = None
-    else:
-        skew = float(np.mean(centered ** 3) / std ** 3)
+    try:
+        with np.errstate(over="raise"):
+            mean = float(values.mean())
+            centered = values - mean
+            var = float(np.mean(centered ** 2))
+            std = math.sqrt(var)
+            skew = None if std == 0.0 else float(np.mean(centered ** 3) / std ** 3)
+    except (FloatingPointError, OverflowError):
+        raise DataError(f"values up to {values.max():g} overflow the summary statistics") from None
     return SummaryStats(mean=mean, std=std, var=var, skewness=skew)
 
 

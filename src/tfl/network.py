@@ -11,13 +11,15 @@ the concatenation of attention context and decoder hidden state
 Attention scores are unscaled dot products between decoder and encoder
 hidden states, softmax-normalized over encoder positions.
 
-Everything runs batched, time-major (step, batch, width); a single
-window is a batch of one.  Each LSTM keeps its four gates stacked in one
-weight matrix, so a step is one GEMM (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946, section 3).  A model is its config plus one flat dict of
-trainable arrays keyed by ``PARAMS``; the optimizer, the gradients and the
-model file all walk that dict, and only the file splits the stacked arrays
-per gate.  ``param_shapes`` is the one place the layer widths are stated.
+Everything runs batched, time-major (step, batch, width); a single window
+is a batch of one.  Each LSTM keeps its four gates stacked in one weight
+matrix, so a step is one GEMM (Appleyard, Kocisky & Blunsom 2016,
+arXiv:1604.01946, section 3) that reads [h_{t-1}, x_t] from slot t of one
+(T+1)-slot array per run, where step t-1 wrote h.  A model is its config
+plus one flat dict of trainable arrays keyed by ``PARAMS``; the optimizer,
+the gradients and the model file all walk that dict, and only the file
+splits the stacked arrays per gate.  ``param_shapes`` is the one place the
+layer widths are stated.
 
 The decoder's input is h_final at every step, so its input projection
 h_final @ W_x.T + b is formed once per batch as a (batch, 4 hidden) bias
@@ -126,63 +128,61 @@ def init_output_layer(config: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
 class _SeqCache:
     """Everything the reversed pass needs from one LSTM run.
 
-    A run without the backprop cache keeps only ``h`` and the last cell
-    state (``c`` holds one slot); its step slots are gone with the run.
+    Slot t of ``z`` is step t's GEMM input [h_{t-1}, x_t], so ``h`` is the
+    view z[1:, :, :hidden] and ``c`` holds c0 in slot 0.  A run without the
+    backprop cache keeps ``z`` and one slot of ``c``, the last cell state.
     """
 
-    z: np.ndarray | None        # (T, B, hidden+input): concatenated [h_prev, x]
+    z: np.ndarray               # (T+1, B, hidden+input); slot T's input part is unset
     gates: np.ndarray | None    # (T, B, 4 hidden): activated f, i, g (candidate), o
-    c: np.ndarray               # (T, B, hidden), or the last cell state alone
+    c: np.ndarray               # (T+1, B, hidden): c0, then each c_t; or the last alone
     tanh_c: np.ndarray | None
-    h: np.ndarray       # (T, B, hidden)
-    c0: np.ndarray      # (B, hidden)
+    h: np.ndarray               # (T, B, hidden)
 
 
 def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
-              c0: np.ndarray, h: np.ndarray, keep: bool = True) -> _SeqCache:
+              c0: np.ndarray, keep: bool = True) -> _SeqCache:
     """Run the recurrence over ``xs`` (T, B, input; input may be 0 wide) from
-    (h0, c0), writing the hidden sequence into ``h`` (T, B, hidden; may be a
-    strided view).
+    (h0, c0); ``xs`` and ``h0`` are copied into ``z`` once.
 
-    Every step writes into preallocated slots: one gate GEMM [h_prev, x_t] @ w.T,
+    Every step writes into preallocated slots: one gate GEMM z[t] @ w.T,
     ``bias`` ((4H,) or (B, 4H)), the candidate's tanh saved aside while one
-    in-place sigmoid covers all 4H columns, then the cell and hidden updates.
-    Without ``keep`` there is one slot of each, the cell state included,
-    updated in place.  The slots take ``w``'s dtype.
+    in-place sigmoid covers all 4H columns, then the cell update and h_t
+    into z[t+1].  Without ``keep`` there is one slot of gates and one of the
+    cell state, updated in place.  The slots take ``w``'s dtype.
     """
     T, B, width = xs.shape
     hid = h0.shape[1]
     slots = T if keep else 1
     dtype = w.dtype
-    z = np.empty((slots, B, hid + width), dtype)
+    z = np.empty((T + 1, B, hid + width), dtype)
+    z[:T, :, hid:] = xs
+    z[0, :, :hid] = h0
+    h = z[1:, :, :hid]
     gates = np.empty((slots, B, len(GATES) * hid), dtype)
     tanh_c = np.empty((slots, B, hid), dtype)
-    c = np.empty((slots, B, hid), dtype)
-    # per slot, built once: the views a step writes, its four gate blocks last
-    steps = list(zip(z, gates, tanh_c, c, *_gate_blocks(gates)))
+    c = np.empty((T + 1 if keep else 1, B, hid), dtype)
+    c[0] = c0
+    # per slot, built once: the views a step reads and writes, its four gate blocks last
+    steps = list(zip(gates, tanh_c, c, c[1:] if keep else c, *_gate_blocks(gates)))
     w_t = w.T
     cand = slice(2 * hid, 3 * hid)
     g_act = np.empty((B, hid), dtype)
-    h_prev, c_prev = h0, c0
     for t in range(T):
-        z_t, act, tc, c_t, f, i, g, o = steps[t if keep else 0]
-        h_t = h[t]
-        z_t[:, :hid] = h_prev
-        z_t[:, hid:] = xs[t]
-        np.matmul(z_t, w_t, out=act)
+        act, tc, c_prev, c_t, f, i, g, o = steps[t if keep else 0]
+        np.matmul(z[t], w_t, out=act)
         act += bias
         np.tanh(act[:, cand], out=g_act)
         sigmoid(act, out=act)
         act[:, cand] = g_act
         np.multiply(f, c_prev, out=c_t)
-        np.multiply(i, g, out=h_t)  # h_t holds i*g until the hidden update
-        c_t += h_t
+        np.multiply(i, g, out=g_act)
+        c_t += g_act
         np.tanh(c_t, out=tc)
-        np.multiply(o, tc, out=h_t)
-        h_prev, c_prev = h_t, c_t
+        np.multiply(o, tc, out=h[t])
     if not keep:
-        z = gates = tanh_c = None
-    return _SeqCache(z=z, gates=gates, c=c, tanh_c=tanh_c, h=h, c0=c0)
+        gates = tanh_c = None
+    return _SeqCache(z=z, gates=gates, c=c, tanh_c=tanh_c, h=h)
 
 
 def _lstm_backward(
@@ -213,8 +213,7 @@ def _lstm_backward(
     d_f, d_i, d_g, d_o = _gate_blocks(dpre_seq)
     np.square(g, out=d_g)
     np.subtract(1, d_g, out=d_g)  # the candidate's tanh: 1 - g^2
-    d_f[0] *= cache.c0
-    d_f[1:] *= cache.c[:-1]
+    d_f *= cache.c[:-1]
     d_i *= g
     d_g *= i
     d_o *= tc
@@ -234,7 +233,7 @@ def _lstm_backward(
         np.multiply(dc, f[t], out=dc_carry)
         np.matmul(dpre, w_h, out=dh_carry)
     # the weight grad sums over every (step, window) row at once
-    dw = dpre_seq.reshape(T * B, -1).T @ cache.z.reshape(T * B, -1)
+    dw = dpre_seq.reshape(T * B, -1).T @ cache.z[:-1].reshape(T * B, -1)
     return dpre_seq, dw, dh_carry, dc_carry
 
 
@@ -247,7 +246,7 @@ class ForwardCache:
     preds: np.ndarray         # (B, n_future)
     attn: np.ndarray | None   # (n_future, B, n_past)
     feats: np.ndarray         # (n_future, B, width): what the output layer read,
-                              # [attention context, decoder h] or decoder h alone
+                              # [attention context, decoder h], or dec.h itself
 
 
 def forward_batch(model: Seq2SeqModel, inputs: np.ndarray) -> ForwardCache:
@@ -259,9 +258,9 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     """The forward pass; ``keep=False`` skips the per-step backprop cache and
     keeps only the hidden sequences that attention and the output layer read.
 
-    With attention the context and the decoder's h are written straight into
-    their halves of ``feats``.  Everything runs at the dtype of the params:
-    float32 for training's mirror and ``predict_batch``'s copy.
+    ``feats`` is ``dec.h``, or with attention [context, copy of ``dec.h``].
+    Everything runs at the dtype of the params: float32 for training's
+    mirror and ``predict_batch``'s copy.
     """
     cfg, p = model.config, model.params
     dtype = p["enc.w"].dtype
@@ -270,18 +269,17 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
         raise ValueError(f"expected inputs (batch, {cfg.n_past}), got {inputs.shape}")
     B = inputs.shape[0]
     hid = cfg.hidden
-    xs_enc = inputs.T[:, :, None]  # (T, B, 1)
     zero = np.zeros((B, hid), dtype)
-    enc = _run_lstm(p["enc.w"], p["enc.b"], xs_enc, zero, zero,
-                    np.empty((cfg.n_past, B, hid), dtype), keep)
+    enc = _run_lstm(p["enc.w"], p["enc.b"], inputs.T[:, :, None], zero, zero, keep)
     h_final = enc.h[-1]
-    feats = np.empty((cfg.n_future, B, 2 * hid if cfg.attention else hid), dtype)
     w_h, w_x = np.hsplit(p["dec.w"], [hid])
     # the constant input, projected once; the (B, 4 hidden) bias goes with the run
     dec = _run_lstm(w_h, h_final @ w_x.T + p["dec.b"], np.empty((cfg.n_future, B, 0), dtype),
-                    h_final, enc.c[-1], feats[:, :, -hid:], keep)
-    attn = None
+                    h_final, enc.c[-1], keep)
+    attn, feats = None, dec.h
     if cfg.attention:
+        feats = np.empty((cfg.n_future, B, 2 * hid), dtype)
+        feats[:, :, hid:] = dec.h
         enc_b = enc.h.transpose(1, 0, 2)  # (B, n_past, hidden): matmul batches over windows
         scores = np.matmul(dec.h.transpose(1, 0, 2), enc_b.transpose(0, 2, 1))
         attn = softmax(scores, axis=-1).transpose(1, 0, 2)
@@ -309,9 +307,7 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
         raise ValueError(f"loss gradient shape {dpreds.shape} != predictions {cache.preds.shape}")
     hid = cfg.hidden
     B = dpreds.shape[0]
-    dy = dpreds.T  # (n_future, B)
-
-    dfeats = dy[:, :, None] * p["out.w"]  # (n_future, B, width)
+    dfeats = dpreds.T[:, :, None] * p["out.w"]  # (n_future, B, width)
 
     denc_seq = np.zeros((cfg.n_past, B, hid), dtype)
     if cfg.attention:
@@ -356,8 +352,8 @@ def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
     Chunk j fills slot j, so each chunk's bits and the output do not depend
     on the worker count.  numpy releases the interpreter lock in the GEMMs
     and ufuncs where the time goes.  No backprop cache is kept: a chunk
-    holds the encoder and decoder hidden sequences, the output layer's
-    features and one step's slots.  If chunks fail, e.g. with
+    holds the encoder's and decoder's state arrays, the attention model's
+    output features and one step's slots.  If chunks fail, e.g. with
     ``NumericError`` from non-finite predictions, the lowest-numbered
     failing chunk's error is raised once every worker has joined; chunks
     still queued then are cancelled.

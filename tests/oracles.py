@@ -202,10 +202,10 @@ def lstm_backward(w, cache, dh_seq, dh_final, dc_final):
         tc = tanh_c[t]
         dh = wide(dh_seq[t]) + dh_carry
         dc = dh * o * (1.0 - tc ** 2) + dc_carry
-        c_prev = c[t - 1] if t > 0 else wide(cache.c0)
+        c_prev = c[t]  # c holds c0 in slot 0
         dpre_seq[t] = np.concatenate([dc * c_prev * f * (1.0 - f), dc * g * i * (1.0 - i),
                                       dc * i * (1.0 - g ** 2), dh * tc * o * (1.0 - o)], axis=1)
         dc_carry = dc * f
         dh_carry = dpre_seq[t] @ w_h
-    dw = np.einsum("tbk,tbj->kj", dpre_seq, wide(cache.z))
+    dw = np.einsum("tbk,tbj->kj", dpre_seq, wide(cache.z[:-1]))
     return dpre_seq, dw, dh_carry, dc_carry

@@ -672,6 +672,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [f"error: {flag}: value holds a line break"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["synth", "--out", " a.csv", "--length", "300"], "--out"),
+        (["synth", "--out", "a.csv\t", "--length", "300"], "--out"),
+        (["evaluate", "--model", "a.tfl,b.tfl ", "--data", "x.csv", "--out-dir", "e"],
+         "--model"),
+    ])
+    def test_edge_whitespace_in_a_value_is_usage(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # the config reader strips each value, so a rerun from the echo would
+        # write ``a.csv`` rather than `` a.csv``
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag}: value starts or ends with whitespace"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "absent.csv")]) == 2
 

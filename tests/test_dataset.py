@@ -1,3 +1,5 @@
+import contextlib
+import io
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -286,6 +288,67 @@ class TestUnfillableGap:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:"), err
         assert "Warning" not in err[0]
+
+    def test_grid_is_capped_by_the_row_count(self, tmp_path, capsys):
+        # a 3-row file may fill 2^20 + 4 * 3 slots: a 1 s step, then one gap
+        cap = 2 ** 20 + 12
+        path = write_lines(tmp_path / "at_cap.csv", ["timestamp,bps", "0,5.0", "1,6.0",
+                                                     f"{cap - 1},7.0"])
+        series, filled = ds.load_csv(path)
+        assert (len(series), filled) == (cap, cap - 3)
+        path = write_lines(tmp_path / "gap.csv", ["timestamp,bps", "0,5.0", "300,6.0",
+                                                  "3000000300,7.0"])
+        with pytest.raises(DataError, match="row 3 makes a grid of 10000002 slots"):
+            ds.load_csv(path)
+        assert main(["stats", "--data", str(path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+# a valid CSV of 12 five-minute rows, and what a mutation writes into one
+# of its fields: a number into bps, a timestamp, or text into either
+_VALID_ROWS = [[f"2024-01-01T00:{5 * k:02d}:00Z", repr(1e8 + 1e6 * k)] for k in range(12)]
+_FIELD = st.one_of(
+    st.tuples(st.just(1), st.one_of(
+        st.floats().map(repr), st.integers(-2 ** 70, 2 ** 70).map(str),
+        st.sampled_from(["1e308", "-1", "-0.0", "nan", "-inf", "1e309", "5e-324", "1" + "0" * 400]))),
+    st.tuples(st.just(0), st.one_of(
+        st.integers(-2 ** 70, 2 ** 70).map(str),
+        st.sampled_from(["0001-01-01T00:00:00Z", "9999-12-31T23:55:00Z", "2024-02-30T00:00:00Z",
+                         "2024-01-01T00:05:00.000001Z", "2024-01-01T00:05:00+14:00",
+                         "-62135596800", "253402300800", "99999999999999999999"]))),
+    st.tuples(st.integers(0, 1), st.text(max_size=10)),
+)
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(["drop", "duplicate", "swap", "field"]),
+                                st.integers(0, 99), st.integers(0, 99), _FIELD),
+                      min_size=1, max_size=4)
+
+
+class TestCsvMutations:
+    @given(_MUTATIONS)
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_stats_on_a_mutant_exits_0_or_2_with_at_most_one_line(self, tmp_path_factory,
+                                                                   mutations):
+        rows = [list(row) for row in _VALID_ROWS]
+        for op, a, b, (column, text) in mutations:
+            a, b = a % len(rows), b % len(rows)
+            if op == "drop" and len(rows) > 1:
+                del rows[a]
+            elif op == "duplicate":
+                rows.insert(a, list(rows[a]))
+            elif op == "swap":
+                rows[a], rows[b] = rows[b], rows[a]
+            elif op == "field":
+                rows[a][column] = text
+        path = tmp_path_factory.getbasetemp() / "mutant.csv"
+        path.write_text("\n".join(["timestamp,bps", *map(",".join, rows)]) + "\n",
+                        encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stats", "--data", str(path)])
+        # a gap-fill note may come before the one line that ends the run
+        lines = [line for line in err.getvalue().splitlines() if not line.startswith("note: ")]
+        assert code in (0, 2), lines
+        assert len(lines) == (code == 2) and "Traceback" not in err.getvalue(), lines
 
 
 class TestTimeSeries:

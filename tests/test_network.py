@@ -85,7 +85,7 @@ def run_cell(params, xs):
     w, b = params
     xs = np.asarray(xs, dtype=np.float64)[:, None, :]
     zero = np.zeros((1, len(b) // 4))
-    return net._run_lstm(w, b, xs, zero, zero, np.empty((len(xs), 1, len(b) // 4)))
+    return net._run_lstm(w, b, xs, zero, zero)
 
 
 class TestLstmStep:
@@ -94,7 +94,7 @@ class TestLstmStep:
         cache = run_cell(params, [[0.7]])
         f, _, g, _ = np.split(cache.gates[0, 0], 4)
         npt.assert_array_equal(cache.h[0, 0], np.zeros(3))
-        npt.assert_array_equal(cache.c[0, 0], np.zeros(3))
+        npt.assert_array_equal(cache.c[1, 0], np.zeros(3))
         npt.assert_array_equal(f, np.full(3, 0.5))
         npt.assert_array_equal(g, np.zeros(3))
 
@@ -104,7 +104,7 @@ class TestLstmStep:
         params = zero_lstm(1, 1)
         params[1][2] = math.atanh(0.5)
         cache = run_cell(params, [[0.3]])
-        npt.assert_allclose(cache.c[0, 0], [0.25], atol=1e-15)
+        npt.assert_allclose(cache.c[1, 0], [0.25], atol=1e-15)
         npt.assert_allclose(cache.h[0, 0], [0.5 * math.tanh(0.25)], atol=1e-15)
 
     def test_two_steps_match_manual_recurrence(self):
@@ -118,7 +118,7 @@ class TestLstmStep:
         npt.assert_allclose(cache.h[0, 0], h1, atol=1e-15)
         npt.assert_allclose(cache.gates[0, 0], np.concatenate(gates1), atol=1e-15)
         npt.assert_allclose(cache.h[1, 0], h2, atol=1e-15)
-        npt.assert_allclose(cache.c[1, 0], c2, atol=1e-15)
+        npt.assert_allclose(cache.c[2, 0], c2, atol=1e-15)
 
 
 class TestEncode:
@@ -126,7 +126,7 @@ class TestEncode:
         model = zero_model()
         cache = net.forward_batch(model, [[0.1, 0.2, 0.3, 0.4]])
         npt.assert_array_equal(cache.enc.h, np.zeros((4, 1, 5)))
-        npt.assert_array_equal(cache.enc.c, np.zeros((4, 1, 5)))
+        npt.assert_array_equal(cache.enc.c, np.zeros((5, 1, 5)))  # c0, then 4 steps
 
     def test_single_step_window(self):
         model = net.init(net.ModelConfig(n_past=1, n_future=2, hidden=3), Rng(5))
@@ -134,16 +134,30 @@ class TestEncode:
         assert cache.enc.h.shape == (1, 1, 3)
         _, h, c = ref_encode(model, [0.4])
         npt.assert_allclose(cache.enc.h[0, 0], h, rtol=1e-12, atol=1e-15)
-        npt.assert_allclose(cache.enc.c[0, 0], c, rtol=1e-12, atol=1e-15)
+        npt.assert_allclose(cache.enc.c[1, 0], c, rtol=1e-12, atol=1e-15)
 
     def test_stack_tail_is_final_state(self):
         # the decoder starts from the encoder's last state; its GEMM rows hold
         # only h_prev, since its input h_T enters through the projected bias
         model = net.init(net.ModelConfig(n_past=6, n_future=2, hidden=4), Rng(6))
         cache = net.forward_batch(model, np.linspace(0, 1, 6)[None, :])
-        npt.assert_array_equal(cache.dec.c0, cache.enc.c[-1])
+        npt.assert_array_equal(cache.dec.c[0], cache.enc.c[-1])
         npt.assert_array_equal(cache.dec.z[0], cache.enc.h[-1])
         npt.assert_array_equal(cache.dec.z[1], cache.dec.h[0])
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_hidden_states_live_in_the_gemm_input(self, keep):
+        # one state array per run: slot t is [h_{t-1}, x_t], h its view, and
+        # the plain model's output layer reads the decoder's h itself
+        model = net.init(net.ModelConfig(n_past=6, n_future=2, hidden=4), Rng(6))
+        window = np.linspace(0, 1, 6)[None, :]
+        cache = net._forward(model, window, keep=keep)
+        for seq, h0 in ((cache.enc, np.zeros((1, 4))), (cache.dec, cache.enc.h[-1])):
+            assert np.shares_memory(seq.h, seq.z)
+            npt.assert_array_equal(seq.z[1:, :, :4], seq.h)
+            npt.assert_array_equal(seq.z[0, :, :4], h0)
+        npt.assert_array_equal(cache.enc.z[:-1, :, 4], window.T)
+        assert cache.feats is cache.dec.h
 
     def test_wrong_length_rejected(self):
         model = zero_model(n_past=4)
