@@ -223,11 +223,15 @@ REPORT_OPTS = [
 ]
 
 
+# stderr notes of the running command, printed only once it has succeeded,
+# so a failing run ends in its one error line
+_notes: list[str] = []
+
+
 def _load_series(path) -> ds.TimeSeries:
     series, gaps = ds.load_csv(path)
     if gaps:
-        print(f"note: {path}: filled {gaps} missing sample(s) by interpolation",
-              file=sys.stderr)
+        _notes.append(f"note: {path}: filled {gaps} missing sample(s) by interpolation")
     return series
 
 
@@ -439,6 +443,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    _notes.clear()
     try:
         args = parser.parse_args(argv)
         opts, handler, _ = _COMMANDS[args.command]
@@ -446,6 +451,8 @@ def main(argv=None) -> int:
         run_dir = handler(cfg)
         if run_dir is not None:
             write_config_echo(cfg, run_dir / f"{args.command}_config.txt")
+        for note in _notes:
+            print(note, file=sys.stderr)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

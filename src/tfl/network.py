@@ -14,12 +14,22 @@ hidden states, softmax-normalized over encoder positions.
 Everything runs batched, time-major (step, batch, width); a single window
 is a batch of one.  Each LSTM keeps its four gates stacked in one weight
 matrix, so a step is one GEMM (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946, section 3) that reads [h_{t-1}, x_t] from slot t of one
-(T+1)-slot array per run, where step t-1 wrote h.  A model is its config
-plus one flat dict of trainable arrays keyed by ``PARAMS``; the optimizer,
-the gradients and the model file all walk that dict, and only the file
-splits the stacked arrays per gate.  ``param_shapes`` is the one place the
-layer widths are stated.
+arXiv:1604.01946, section 3) per ``SLAB`` rows that reads [h_{t-1}, x_t]
+from slot t of one (T+1)-slot array per run, where step t-1 wrote h.
+
+Every forward GEMM (the gate GEMMs, the decoder's input projection and the
+output layer) runs in slabs of ``SLAB`` rows, the last one zero-padded, so
+a window's forecast has the same bits whatever batch, position, chunk or
+worker it runs in: BLAS picks its GEMM kernel by the row count, and with
+one row count it picks one kernel (the batch-invariance fix of Horace He,
+"Defeating Nondeterminism in LLM Inference", Thinking Machines Lab, 2025).
+Checked in float32 and float64 at hidden 3, 24, 49, 51 and 100, plain and
+attention, with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
+
+A model is its config plus one flat dict of trainable arrays keyed by
+``PARAMS``; the optimizer, the gradients and the model file all walk that
+dict, and only the file splits the stacked arrays per gate.
+``param_shapes`` is the one place the layer widths are stated.
 
 The decoder's input is h_final at every step, so its input projection
 h_final @ W_x.T + b is formed once per batch as a (batch, 4 hidden) bias
@@ -46,9 +56,15 @@ from .numeric import Rng, assert_finite, sigmoid, softmax
 
 GATES = ("f", "i", "c", "o")
 
-# windows per predict_batch chunk: keeps a step's working set in a core's
-# L2 cache at hidden 100
-PREDICT_CHUNK = 128
+# windows per predict_batch chunk.  Two workers hand the interpreter lock
+# back and forth between numpy calls, so a larger chunk (fewer calls per
+# window) forecasts faster, at a memory cost: an evaluate of a plain and an
+# attention hidden-100 model peaks at 40.5 MB max RSS at 128, 45.8 MB at 256
+# and 52-55 MB at 512 (2 CPUs)
+PREDICT_CHUNK = 256
+
+# rows per forward GEMM, so that a window's bits do not depend on its batch
+SLAB = 8
 
 
 @dataclass
@@ -124,6 +140,22 @@ def init_output_layer(config: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
     return {"out.w": _glorot(1, width, rng).reshape(width), "out.b": np.zeros(1)}
 
 
+def _slab_matmul(a: np.ndarray, w_t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:] = a @ w_t`` for a (rows, K) ``a``, as GEMMs of ``SLAB`` rows.
+    The rows past the last whole slab run in a zero-padded slab of their own,
+    so a row's bits depend neither on how many rows ``a`` has nor on where
+    it sits among them."""
+    rows, width = a.shape
+    whole = rows - rows % SLAB
+    np.matmul(a[:whole].reshape(whole // SLAB, SLAB, width), w_t,
+              out=out[:whole].reshape(whole // SLAB, SLAB, out.shape[1]))
+    if whole < rows:
+        tail = np.zeros((SLAB, width), a.dtype)
+        tail[:rows - whole] = a[whole:]
+        out[whole:] = np.matmul(tail, w_t)[:rows - whole]
+    return out
+
+
 @dataclass
 class _SeqCache:
     """Everything the reversed pass needs from one LSTM run.
@@ -145,11 +177,12 @@ def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
     """Run the recurrence over ``xs`` (T, B, input; input may be 0 wide) from
     (h0, c0); ``xs`` and ``h0`` are copied into ``z`` once.
 
-    Every step writes into preallocated slots: one gate GEMM z[t] @ w.T,
-    ``bias`` ((4H,) or (B, 4H)), the candidate's tanh saved aside while one
-    in-place sigmoid covers all 4H columns, then the cell update and h_t
-    into z[t+1].  Without ``keep`` there is one slot of gates and one of the
-    cell state, updated in place.  The slots take ``w``'s dtype.
+    Every step writes into preallocated slots: the gate GEMM z[t] @ w.T in
+    ``SLAB``-row slabs, ``bias`` ((4H,) or (B, 4H)), the candidate's tanh
+    saved aside while one in-place sigmoid covers all 4H columns, then the
+    cell update and h_t into z[t+1].  Without ``keep`` there is one slot of
+    gates and one of the cell state, updated in place.  The slots take
+    ``w``'s dtype.
     """
     T, B, width = xs.shape
     hid = h0.shape[1]
@@ -165,12 +198,12 @@ def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
     c[0] = c0
     # per slot, built once: the views a step reads and writes, its four gate blocks last
     steps = list(zip(gates, tanh_c, c, c[1:] if keep else c, *_gate_blocks(gates)))
-    w_t = w.T
+    w_t = np.ascontiguousarray(w.T)  # a strided w.T slows the slab GEMMs 1.4-5x
     cand = slice(2 * hid, 3 * hid)
     g_act = np.empty((B, hid), dtype)
     for t in range(T):
         act, tc, c_prev, c_t, f, i, g, o = steps[t if keep else 0]
-        np.matmul(z[t], w_t, out=act)
+        _slab_matmul(z[t], w_t, act)
         act += bias
         np.tanh(act[:, cand], out=g_act)
         sigmoid(act, out=act)
@@ -274,8 +307,9 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     h_final = enc.h[-1]
     w_h, w_x = np.hsplit(p["dec.w"], [hid])
     # the constant input, projected once; the (B, 4 hidden) bias goes with the run
-    dec = _run_lstm(w_h, h_final @ w_x.T + p["dec.b"], np.empty((cfg.n_future, B, 0), dtype),
-                    h_final, enc.c[-1], keep)
+    proj = _slab_matmul(h_final, np.ascontiguousarray(w_x.T), np.empty((B, 4 * hid), dtype))
+    proj += p["dec.b"]
+    dec = _run_lstm(w_h, proj, np.empty((cfg.n_future, B, 0), dtype), h_final, enc.c[-1], keep)
     attn, feats = None, dec.h
     if cfg.attention:
         feats = np.empty((cfg.n_future, B, 2 * hid), dtype)
@@ -284,7 +318,10 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
         scores = np.matmul(dec.h.transpose(1, 0, 2), enc_b.transpose(0, 2, 1))
         attn = softmax(scores, axis=-1).transpose(1, 0, 2)
         np.matmul(attn.transpose(1, 0, 2), enc_b, out=feats[:, :, :hid].transpose(1, 0, 2))
-    preds = (feats @ p["out.w"]).T + p["out.b"][0]  # (B, n_future)
+    # the output layer in slabs too, one row per (step, window)
+    out = _slab_matmul(feats.reshape(cfg.n_future * B, feats.shape[-1]), p["out.w"][:, None],
+                       np.empty((cfg.n_future * B, 1), dtype))
+    preds = out.reshape(cfg.n_future, B).T + p["out.b"][0]  # (B, n_future)
     assert_finite(preds, "forward predictions")
     return ForwardCache(enc=enc, dec=dec, preds=preds, attn=attn, feats=feats)
 
@@ -349,8 +386,9 @@ def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
     on a thread pool of one worker per CPU this process may use, at most one
     per chunk.
 
-    Chunk j fills slot j, so each chunk's bits and the output do not depend
-    on the worker count.  numpy releases the interpreter lock in the GEMMs
+    Chunk j fills slot j, and a window's bits do not depend on the batch it
+    runs in, so the output depends neither on the chunk size nor on the
+    worker count.  numpy releases the interpreter lock in the GEMMs
     and ufuncs where the time goes.  No backprop cache is kept: a chunk
     holds the encoder's and decoder's state arrays, the attention model's
     output features and one step's slots.  If chunks fail, e.g. with

@@ -155,7 +155,7 @@ def test_criterion_7_desk_scale_learnability():
         model_wape = ev.per_step_table(preds, w_test.targets).average.wape
         baseline = oracles.persistence_forecast(w_test.inputs, N_FUTURE)
         base_wape = ev.per_step_table(baseline, w_test.targets).average.wape
-        print(f"\n  model WAPE {model_wape:.3f}% vs persistence {base_wape:.3f}%")
+        print(f"\n  model WAPE {model_wape:.6f}% vs persistence {base_wape:.6f}%")
         assert model_wape < base_wape
         assert time.monotonic() - started < 300.0
 
@@ -226,8 +226,8 @@ def test_criterion_8_transfer_and_augmentation_direction():
         scratch_avg = float(np.mean(scratch_w))
         transfer_avg = float(np.mean(transfer_w))
         augmented_avg = float(np.mean(augmented_w))
-        print(f"\n  scratch {scratch_avg:.3f}% transfer {transfer_avg:.3f}% "
-              f"augmented {augmented_avg:.3f}%")
+        print(f"\n  scratch {scratch_avg:.6f}% transfer {transfer_avg:.6f}% "
+              f"augmented {augmented_avg:.6f}%")
         assert transfer_avg <= scratch_avg + 0.5
         assert augmented_avg <= transfer_avg + 0.5
         assert time.monotonic() - started < 900.0

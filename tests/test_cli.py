@@ -186,7 +186,7 @@ class TestTrainEvaluate:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                         reason="needs CPU affinity with at least two CPUs allowed")
     def test_evaluate_bytes_do_not_depend_on_cpu_count(self, tmp_path):
-        # 1500 rows leave 290 test windows per model: three 128-window chunks
+        # 1500 rows leave 290 test windows per model: chunks of 256 and 34 windows
         data = tmp_path / "long.csv"
         assert main(["synth", "--out", str(data), "--length", "1500", "--seed", "3"]) == 0
         models = [tmp_path / "plain.tfl", tmp_path / "attn.tfl"]
@@ -632,7 +632,8 @@ class TestStartup:
     def test_cli_import_loads_no_pool_or_logging_modules(self):
         # every command pays for what importing tfl.cli loads, in RSS and start-up time
         code = ("import sys, tfl.cli; print(' '.join(m for m in "
-                "('concurrent.futures', 'logging', 'queue') if m in sys.modules))")
+                "('concurrent.futures', 'logging', 'queue', 'hashlib', '_hashlib') "
+                "if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=CHILD_ENV, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -686,6 +687,21 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {flag}: value starts or ends with whitespace"]
         assert list(tmp_path.iterdir()) == []
+
+    def test_gap_fill_note_comes_only_with_success(self, tmp_path, capsys):
+        # a 12-row grid with the row at 1500 s missing; then one value that
+        # overflows the summary statistics after the load has filled the gap
+        rows = ["timestamp,bps"] + [f"{300 * k},{1e8 + k}" for k in range(12) if k != 5]
+        path = tmp_path / "gap.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["stats", "--data", str(path)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"note: {path}: filled 1 missing sample(s) by interpolation"]
+        rows[-1] = "3300,1e308"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["stats", "--data", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: values up to 1e+308"), err
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["stats", "--data", str(tmp_path / "absent.csv")]) == 2

@@ -3,11 +3,11 @@
 The pipeline runs ``tfl.cli.main`` in-process in a fresh directory: two
 synths, a plain and an attention train, augment, a transfer with wavelet
 augmentation, a scratch train, stats, one evaluate of four models over 343
-test windows each (forecast chunks of 128, 128 and 87), report, a run with a
+test windows each (forecast chunks of 256 and 87), report, a run with a
 required flag missing and a rerun from an echo file; then both trained
 models transferred to a 240-row target in batches of 16 and evaluated, and
 an n_past 12 / n_future 6 plain and attention pair evaluated over 323
-windows (chunks of 128, 128 and 67); last, at the benchmark's widths, a
+windows (chunks of 256 and 67); last, at the benchmark's widths, a
 hidden 24 plain model trained and transferred with wavelet augmentation, and
 a hidden 100 attention model trained and evaluated over the same 323
 windows.  The SHA-256 of every file it leaves, and each command's exit code, stdout and stderr, must equal
@@ -17,7 +17,8 @@ A change that moves these bits on purpose rewrites the JSON with
 
     python tests/test_golden_tree.py --regen
 
-and says in CHANGES.md which files moved and why.  The digests were taken
+which prints what moved against the old JSON before it overwrites it; the
+change says in CHANGES.md which files moved and why.  The digests were taken
 with numpy 2.4.6 on OpenBLAS (x86-64); another BLAS may round the GEMMs
 differently in the last bit.
 """
@@ -69,7 +70,7 @@ PIPELINE = [
        "--phase2-epochs", "1", "--batch", "16", "--seed", "5"] for kind in ("plain", "attn")],
     ["evaluate", "--model", "small/plain/adapted_plain.tfl,small/attn/adapted_attn.tfl",
      "--data", "small/target.csv", "--out-dir", "small/eval"],
-    # n_past 12 -> n_future 6 over 1700 rows: 323 test windows, chunks of 128, 128 and 67
+    # n_past 12 -> n_future 6 over 1700 rows: 323 test windows, chunks of 256 and 67
     *[["train", "--data", "source/source.csv", "--out", f"wide/{kind}/{kind}.tfl",
        "--epochs", "1", f"--{flag}", "--n-past", "12", "--n-future", "6", *_BODY]
       for kind, flag in (("plain", "no-attention"), ("attn", "attention"))],
@@ -132,6 +133,14 @@ def moved(expected: dict, actual: dict) -> list[str]:
     return names
 
 
+def regenerate(golden: Path, record: dict) -> list[str]:
+    """Write ``record`` to ``golden``; returns what moved against the record
+    it replaces (no file is an empty record)."""
+    old = json.loads(golden.read_text()) if golden.exists() else {"commands": [], "files": {}}
+    golden.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return moved(old, record)
+
+
 def test_pipeline_tree_matches_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text())
     changed = moved(expected, run_pipeline(tmp_path))
@@ -147,11 +156,22 @@ def test_moved_names_the_changed_files():
     assert moved(record, record) == []
 
 
+def test_regenerate_reports_what_moved(tmp_path):
+    golden = tmp_path / "golden.json"
+    record = {"commands": [{"argv": "synth", "exit": 0, "stdout": "", "stderr": ""}],
+              "files": {"a.csv": "1", "b.csv": "2"}}
+    assert regenerate(golden, record) == ["the number of commands", "a.csv", "b.csv"]
+    other = {"commands": record["commands"], "files": {"a.csv": "1", "b.csv": "3"}}
+    assert regenerate(golden, other) == ["b.csv"]
+    assert json.loads(golden.read_text()) == other
+    assert regenerate(golden, other) == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit(f"usage: python {sys.argv[0]} --regen")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     with tempfile.TemporaryDirectory() as top:
         record = run_pipeline(Path(top))
-    GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"moved: {', '.join(regenerate(GOLDEN, record)) or 'nothing'}")
     print(f"wrote {GOLDEN}: {len(record['commands'])} commands, {len(record['files'])} files")

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import sys
@@ -8,6 +9,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfl import network as net
 from tfl.errors import NumericError
@@ -171,6 +174,31 @@ class TestEncode:
         cache = net.forward_batch(model, window[None, :])
         npt.assert_allclose(cache.enc.h[:, 0], stack, rtol=1e-12, atol=1e-15)
         npt.assert_allclose(cache.enc.c[-1, 0], c, rtol=1e-12, atol=1e-15)
+
+
+
+@functools.cache
+def seeded_model(hidden: int, attention: bool) -> net.Seq2SeqModel:
+    return net.init(net.ModelConfig(n_past=12, n_future=6, hidden=hidden, attention=attention),
+                    Rng(hidden))
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("hidden", [3, 24, 49, 51, 100])
+    @given(batch=st.integers(1, 300), row=st.integers(0, 299), seed=st.integers(0, 2 ** 32))
+    @example(batch=300, row=263, seed=0)
+    @example(batch=9, row=8, seed=1)
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_predict_batch_row_equals_a_batch_of_one(self, hidden, attention, batch, row, seed):
+        # every forward GEMM runs in 8-row slabs, so a window's float32 bits
+        # do not depend on the batch, its place in it, the chunk or the worker
+        model = seeded_model(hidden, attention)
+        windows = Rng(seed).uniform_array(batch * 12, 0, 1).reshape(batch, 12)
+        preds = net.predict_batch(model, windows)
+        for k in sorted({0, row % batch, batch - 1}):
+            alone = net.predict_batch(model, windows[k:k + 1])[0]
+            assert preds[k].tobytes() == alone.tobytes(), k
 
 
 class TestDecodePlain:
@@ -444,17 +472,14 @@ class TestForwardProperties:
         for attention in (False, True):
             model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
                                              attention=attention), Rng(9))
-            model32 = float32_copy(model)
+            # every forward GEMM runs in 8-row slabs, so any chunking gives
+            # the bits of the whole batch through the float32 forward
+            whole32 = net._forward(float32_copy(model), windows, keep=False).preds
             whole = net.forward_batch(model, windows).preds
             for chunk in (1, 3, len(windows), len(windows) + 5):
                 monkeypatch.setattr(net, "PREDICT_CHUNK", chunk)
                 preds = net.predict_batch(model, windows)
-                # OpenBLAS rounds a GEMM of very few rows differently in the
-                # last bit, so the same chunks through the float32 forward are
-                # the bitwise reference
-                per_chunk = [net._forward(model32, windows[k:k + chunk], keep=False).preds
-                             for k in range(0, len(windows), chunk)]
-                npt.assert_array_equal(preds, np.concatenate(per_chunk))
+                npt.assert_array_equal(preds, whole32)
                 npt.assert_allclose(preds, whole, rtol=0, atol=FLOAT32_GAP)
 
     def test_predict_batch_of_no_windows(self):
@@ -500,15 +525,14 @@ class TestForwardProperties:
 
     @pytest.mark.parametrize("attention", [False, True])
     def test_predict_batch_default_chunks_match_forward_batch(self, attention):
-        # 300 windows: two full 128-window chunks and a 44-window tail
+        # 300 windows: a full chunk and a tail, which give the bits of the
+        # whole batch through the float32 forward
         model = net.init(net.ModelConfig(n_past=12, n_future=6, hidden=24, attention=attention),
                          Rng(3))
         windows = Rng(4).uniform_array(300 * 12, 0, 1).reshape(300, 12)
-        model32 = float32_copy(model)
-        per_chunk = [net._forward(model32, windows[k:k + 128], keep=False).preds
-                     for k in (0, 128, 256)]
+        assert net.PREDICT_CHUNK < len(windows)
         preds = net.predict_batch(model, windows)
-        npt.assert_array_equal(preds, np.concatenate(per_chunk))
+        npt.assert_array_equal(preds, net._forward(float32_copy(model), windows, keep=False).preds)
         npt.assert_allclose(preds, net.forward_batch(model, windows).preds,
                             rtol=0, atol=FLOAT32_GAP)
 
@@ -535,10 +559,12 @@ class TestForwardProperties:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the full cache of one 512-window chunk alone is about 70 MB; without
-        # it two lanes running float32 chunks peak at 3.3-3.9 MB (plain) and
-        # 3.7-4.6 MB (attention), against 6.7 and 8.0 MB for float64 chunks
-        assert peak < 6e6
+        # two 256-window chunks on two lanes: without the backprop cache,
+        # float32 chunks peak at 7.7-8.3 MB (plain) and 8.4-9.1 MB (attention),
+        # against 15.3-15.9 and 14.3-18.1 MB for float64 chunks and 28.8-31.2 MB
+        # with the float32 cache (numpy 2.4.6)
+        assert net.PREDICT_CHUNK == 256
+        assert peak < 11e6
 
     def test_backward_rejects_inference_cache(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
