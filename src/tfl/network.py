@@ -66,6 +66,8 @@ PREDICT_CHUNK = 256
 # rows per forward GEMM, so that a window's bits do not depend on its batch
 SLAB = 8
 
+EMPTY_BATCH = "empty batch: the forward and backward passes need at least one window"
+
 
 @dataclass
 class ModelConfig:
@@ -80,7 +82,8 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-# a model's trainable arrays, in the order gradients and the model file list them
+# a model's trainable arrays, in the order gradients, the model file and training's
+# flat vector list them; the output layer comes last, as head-only training's tail
 PARAMS = ("enc.w", "enc.b", "dec.w", "dec.b", "out.w", "out.b")
 
 
@@ -293,7 +296,7 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
 
     ``feats`` is ``dec.h``, or with attention [context, copy of ``dec.h``].
     Everything runs at the dtype of the params: float32 for training's
-    mirror and ``predict_batch``'s copy.
+    mirror and ``predict_batch``'s copy.  An empty batch is refused.
     """
     cfg, p = model.config, model.params
     dtype = p["enc.w"].dtype
@@ -301,11 +304,13 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_past:
         raise ValueError(f"expected inputs (batch, {cfg.n_past}), got {inputs.shape}")
     B = inputs.shape[0]
+    if B == 0:
+        raise ValueError(EMPTY_BATCH)
     hid = cfg.hidden
     zero = np.zeros((B, hid), dtype)
     enc = _run_lstm(p["enc.w"], p["enc.b"], inputs.T[:, :, None], zero, zero, keep)
     h_final = enc.h[-1]
-    w_h, w_x = np.hsplit(p["dec.w"], [hid])
+    w_h, w_x = p["dec.w"][:, :hid], p["dec.w"][:, hid:]
     # the constant input, projected once; the (B, 4 hidden) bias goes with the run
     proj = _slab_matmul(h_final, np.ascontiguousarray(w_x.T), np.empty((B, 4 * hid), dtype))
     proj += p["dec.b"]
@@ -340,6 +345,8 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
         raise ValueError("backward requires the full ForwardCache from forward_batch")
     dtype = p["enc.w"].dtype
     dpreds = np.asarray(dpreds, dtype=dtype)
+    if not dpreds.size:
+        raise ValueError(EMPTY_BATCH)
     if dpreds.shape != cache.preds.shape:
         raise ValueError(f"loss gradient shape {dpreds.shape} != predictions {cache.preds.shape}")
     hid = cfg.hidden
@@ -360,11 +367,11 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
         ddec_seq = dfeats
 
     zero = np.zeros((B, hid), dtype)
-    w_h, w_x = np.hsplit(p["dec.w"], [hid])
+    w_h, w_x = p["dec.w"][:, :hid], p["dec.w"][:, hid:]
     dec_dpre, dw_h, ddec_h0, ddec_c0 = _lstm_backward(w_h, cache.dec, ddec_seq, zero, zero)
     # h_final fed every step through the one projection and started the recurrence
     dpre_sum = dec_dpre.sum(axis=0)  # (B, 4 hidden)
-    dec_dw = np.hstack([dw_h, dpre_sum.T @ cache.enc.h[-1]])
+    dec_dw = np.concatenate([dw_h, dpre_sum.T @ cache.enc.h[-1]], axis=1)
     dh_final = dpre_sum @ w_x + ddec_h0
     enc_dpre, enc_dw, _, _ = _lstm_backward(p["enc.w"], cache.enc, denc_seq, dh_final, ddec_c0)
 

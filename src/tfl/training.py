@@ -1,14 +1,13 @@
-"""Huber loss, Adam over the trained blocks, the training loop, and
+"""Huber loss, Adam on one flat parameter vector, the training loop, and
 two-phase transfer learning.
 
-A block is trained exactly when Adam holds moments for it: the optimizer
-state of a run names the trained blocks, each step passes gradients for
-those blocks alone, and every other block stays bitwise unchanged.
+Training has two modes: ``train`` trains one flat float64 vector of the
+six blocks whole, or with ``head_only`` only its output-layer tail.
 Transfer re-targets a trained model: the output layer is re-initialized,
-phase 1 trains only that layer at the higher learning rate, phase 2
-trains every block and fine-tunes at the reduced rate.  Optimizer
-moments start fresh in each phase because their scale is coupled to the
-learning rate.
+phase 1 trains only that layer (the head-only mode) at the higher
+learning rate, phase 2 trains every block and fine-tunes at the
+reduced rate.  Optimizer moments start fresh in each phase because their
+scale is coupled to the learning rate.
 
 Phase 1 is a linear probe on the frozen body (the LP half of LP-FT, Kumar
 et al. 2022, arXiv:2202.10054): a step runs the forward pass without the
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import copy
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from .dataset import WindowedDataset
 from .errors import NumericError
 from .network import (
+    PARAMS,
     Seq2SeqModel,
     _forward,
     backward_batch,
@@ -69,47 +69,21 @@ def huber(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-@dataclass
 class AdamState:
-    """First/second moments of the trained blocks plus step count; one
-    state per run.
+    """Adam's state for one trained vector of ``size`` parameters; one state
+    per run.  ``flat`` holds, row by row, the first moments, the second
+    moments and two work rows, so a step runs each operation once over the
+    vector and allocates nothing; ``t`` counts the steps taken."""
 
-    ``flat`` holds, row by row, the first moments, the second moments and
-    two work rows of every trained block laid end to end; ``m``, ``v`` and
-    ``step`` map each block to its view of rows 0, 1 and 2.  A step runs
-    the moment arithmetic once over all blocks and allocates nothing.
-    """
-
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    t: int
-    lr: float
-    flat: np.ndarray
-    step: dict[str, np.ndarray]
-
-    @classmethod
-    def fresh(cls, model: Seq2SeqModel, lr: float, trainable: Iterable[str] | None = None) -> "AdamState":
-        """Zero moments for the ``model.params`` blocks named in ``trainable``
-        (None names them all); only these blocks are trained."""
-        names = set(model.params if trainable is None else trainable)
-        unknown = names - set(model.params)
-        if unknown:
-            raise ValueError(f"unknown trainable block(s): {sorted(unknown)}")
-        params = {name: arr for name, arr in model.params.items() if name in names}
-        bounds = np.cumsum([0] + [arr.size for arr in params.values()])
-        flat = np.zeros((4, bounds[-1]))
-
-        def views(row: np.ndarray) -> dict[str, np.ndarray]:
-            return {name: row[a:b].reshape(arr.shape)
-                    for (name, arr), a, b in zip(params.items(), bounds, bounds[1:])}
-
-        return cls(m=views(flat[0]), v=views(flat[1]), t=0, lr=lr, flat=flat, step=views(flat[2]))
+    def __init__(self, size: int, lr: float):
+        self.flat = np.zeros((4, size))
+        self.t = 0
+        self.lr = lr
 
 
-def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamState) -> None:
-    """Bias-corrected Adam update in place of the blocks ``state`` holds
-    moments for; ``grads`` names exactly those blocks.  Every other block
-    stays bitwise unchanged.
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """Bias-corrected Adam update of the flat float64 vector ``params`` in
+    place, from ``grads`` of the same shape.
 
     Elementwise, in this order: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2,
     then p -= (lr (m / c1)) / (sqrt(v / c2) + eps), each operation writing
@@ -117,26 +91,17 @@ def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamStat
     float32 gradients (what ``train`` passes) are widened exactly on entry,
     so they give the bits of the same gradients cast to float64 first.
     """
-    if set(grads) != set(state.m):
-        raise ValueError(
-            f"gradient tree does not match the trained blocks: "
-            f"{sorted(set(grads) ^ set(state.m))}"
-        )
-    params = model.params
-    for name, g in grads.items():
-        if g.shape != params[name].shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape "
-                             f"{params[name].shape} for {name}")
+    if not params.shape == grads.shape == state.flat.shape[1:]:
+        raise ValueError(f"gradient shape {grads.shape} and parameter shape {params.shape} "
+                         f"do not match the state's {state.flat.shape[1:]}")
     state.t += 1
     correction1 = 1.0 - BETA1 ** state.t
     correction2 = 1.0 - BETA2 ** state.t
     m, v, step, denom = state.flat
-    for name, g in grads.items():
-        np.multiply(g, 1.0 - BETA1, out=state.step[name], dtype=np.float64)
+    np.multiply(grads, 1.0 - BETA1, out=step, dtype=np.float64)
     m *= BETA1
     m += step
-    for name, g in grads.items():
-        np.square(g, out=state.step[name], dtype=np.float64)
+    np.square(grads, out=step, dtype=np.float64)
     step *= 1.0 - BETA2
     v *= BETA2
     v += step
@@ -146,8 +111,7 @@ def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamStat
     np.sqrt(denom, out=denom)
     denom += EPS
     step /= denom
-    for name, update in state.step.items():
-        params[name] -= update
+    params -= step
 
 
 @dataclass
@@ -170,21 +134,22 @@ def train(
     model: Seq2SeqModel,
     data: WindowedDataset,
     cfg: TrainConfig,
-    trainable: Iterable[str] | None = None,
+    head_only: bool = False,
 ) -> tuple[Seq2SeqModel, list[float]]:
     """Minibatch Adam on a copy of the model; returns (model, per-epoch loss).
 
-    Only the blocks named in ``trainable`` (None: all) are updated; when
-    all are output-layer blocks, a step skips the backprop cache and BPTT.
-    Deterministic for a fixed seed: each epoch's shuffle order comes from
-    the toolkit's own stream, batches are visited in order, and gradient
-    reduction is a fixed summation.
+    The copy is one float64 vector of the blocks in ``PARAMS`` order, whose
+    slices are the returned model's arrays.  A run trains all of it, or
+    with ``head_only`` the tail that holds ``out.w`` and ``out.b``, with no
+    backprop cache or BPTT.  Deterministic for a fixed seed: each epoch's
+    shuffle order comes from the toolkit's own stream, batches are visited
+    in order, and gradient reduction is a fixed summation.
 
-    Mixed precision: each step's forward and backward run on a float32
-    mirror of the float64 master weights, Huber is taken in float64 from the
-    float32 predictions, and ``adam_step`` updates the master weights in
-    float64; the trained blocks are then rounded into the mirror's arrays.
-    The bits were pinned with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
+    Mixed precision: forward and backward run on a float32 mirror vector,
+    Huber is taken in float64, ``adam_step`` updates the trained slice in
+    float64 from its float32 gradients, and one copy rounds the slice into
+    the mirror.  The bits were pinned with numpy 2.4.6 on scipy-openblas
+    0.3.31 (x86-64).
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -196,11 +161,20 @@ def train(
             f"dataset windows ({data.n_past}->{data.n_future}) do not match "
             f"model config ({mc.n_past}->{mc.n_future})"
         )
-    model = copy.deepcopy(model)
-    state = AdamState.fresh(model, cfg.lr, trainable)
-    head_only = all(name.startswith("out.") for name in state.m)
-    mirror = Seq2SeqModel(mc, {name: arr.astype(np.float32) for name, arr in model.params.items()})
-    synced = [(mirror.params[name], model.params[name]) for name in state.m]
+    params = model.params
+    bounds = np.cumsum([0] + [params[name].size for name in PARAMS])
+    master = np.concatenate([params[name] for name in PARAMS], axis=None, dtype=np.float64)
+    master32 = master.astype(np.float32)
+
+    def blocks(flat: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: flat[a:b].reshape(params[name].shape)
+                for name, a, b in zip(PARAMS, bounds, bounds[1:])}
+
+    model, mirror = Seq2SeqModel(mc, blocks(master)), Seq2SeqModel(mc, blocks(master32))
+    first = PARAMS.index("out.w") if head_only else 0
+    trained, trained32 = master[bounds[first]:], master32[bounds[first]:]
+    grads32 = np.empty(trained.shape, np.float32)
+    state = AdamState(trained.size, cfg.lr)
     rng = Rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
@@ -215,9 +189,9 @@ def train(
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite at step {state.t + 1}")
             grads = output_grads(dpred, fwd.feats) if head_only else backward_batch(mirror, fwd, dpred)
-            adam_step(model, {name: grads[name] for name in state.m}, state)
-            for p32, p64 in synced:
-                np.copyto(p32, p64, casting="same_kind")
+            np.concatenate([grads[name] for name in PARAMS[first:]], axis=None, out=grads32)
+            adam_step(trained, grads32, state)
+            np.copyto(trained32, trained, casting="same_kind")
             total += loss * len(idx)
         history.append(total / len(data))
     return model, history
@@ -257,13 +231,12 @@ def transfer(
         raise ValueError("transfer config mismatch: " + "; ".join(mismatches))
 
     model = copy.deepcopy(source)
-    head = init_output_layer(mc, Rng(seed))
-    model.params.update(head)
+    model.params.update(init_output_layer(mc, Rng(seed)))
     logs = []
-    for name, cfg, trainable in (("freeze-body", cfg1, list(head)), ("fine-tune", cfg2, None)):
+    for name, cfg, head_only in (("freeze-body", cfg1, True), ("fine-tune", cfg2, False)):
         history = []
         if cfg.epochs > 0:
-            model, history = train(model, data, cfg, trainable)
+            model, history = train(model, data, cfg, head_only)
         logs.append(PhaseLog(name, cfg.lr, history))
     return model, logs
 

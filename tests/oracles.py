@@ -73,22 +73,19 @@ def write_csv(series: TimeSeries, path) -> None:
             writer.writerow([ts.strftime(fmt), repr(float(v))])
 
 
-def adam_step(model: Seq2SeqModel, grads: dict[str, np.ndarray], state: AdamState) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
     """Bias-corrected Adam with a fresh array per operation."""
     state.t += 1
     correction1 = 1.0 - BETA1 ** state.t
     correction2 = 1.0 - BETA2 ** state.t
-    for name, m in state.m.items():
-        g = grads[name]
-        v = state.v[name]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g ** 2
-        m_hat = m / correction1
-        v_hat = v / correction2
-        p = model.params[name]
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+    m, v = state.flat[0], state.flat[1]
+    m *= BETA1
+    m += (1.0 - BETA1) * grads
+    v *= BETA2
+    v += (1.0 - BETA2) * grads ** 2
+    m_hat = m / correction1
+    v_hat = v / correction2
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def mae(pred: np.ndarray, obs: np.ndarray) -> float:

@@ -1,11 +1,17 @@
 """The bench (``perfbench/``) names ``tfl`` functions as ``<layer>.<function>``
-in its span wrappers and in the per-layer metrics a traced run must record.
-A rename in ``src`` fails here rather than in a traced bench run."""
+in its span wrappers and in the per-layer metrics a traced run must record,
+and wraps every public one.  A rename in ``src``, or a public function held
+where the wrapper cannot rebind it, fails here rather than in a traced bench
+run."""
 
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from tfl.numeric import Rng
 
@@ -49,3 +55,33 @@ def test_bench_names_only_public_tfl_functions(monkeypatch):
             unresolved.append(name)
     assert unresolved == []
     assert [m for m in spans.RNG_METHODS if not hasattr(Rng, m)] == []
+
+
+# what every traced bench child does before it runs a command; ``{plant}``
+# is a statement run between the two
+_INSTALL = """
+import sys
+sys.path.insert(0, {bench!r})
+import tfl.cli
+{plant}
+from spans import Recorder, install
+install(Recorder())
+"""
+
+
+@pytest.mark.parametrize("plant, refusal", [
+    ("", None),
+    # a module-level tuple holding a public function: the wrapper cannot reach it
+    ("import tfl.training; tfl.training._KEPT = (tfl.training.train,)",
+     "tfl.training._KEPT still holds unwrapped train"),
+])
+def test_traced_child_installs_its_wrappers(plant, refusal):
+    src = str(BENCH.with_name("src"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-B", "-c", _INSTALL.format(bench=str(BENCH), plant=plant)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    if refusal is None:
+        assert (proc.returncode, proc.stderr) == (0, "")
+    else:
+        assert proc.returncode == 1 and refusal in proc.stderr, proc.stderr

@@ -18,12 +18,15 @@ A change that moves these bits on purpose rewrites the JSON with
     python tests/test_golden_tree.py --regen
 
 which prints what moved against the old JSON before it overwrites it; the
-change says in CHANGES.md which files moved and why.  The digests were taken
-with numpy 2.4.6 on OpenBLAS (x86-64); another BLAS may round the GEMMs
-differently in the last bit.
+change says in CHANGES.md which files moved and why.  Every digest depends
+on the GEMM kernel, which a ``DYNAMIC_ARCH`` OpenBLAS picks by the CPU at
+run time, so the regen also records the BLAS it ran on (``blas()``).  A
+failure on a machine whose BLAS differs from the recorded one says so
+before it names what moved; it fails all the same.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -31,6 +34,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 GOLDEN = Path(__file__).with_name("golden_tree.json")
 
@@ -93,6 +98,50 @@ PIPELINE = [
 ]
 
 
+def _openblas_core(lib_dir: Path) -> str | None:
+    """The core OpenBLAS picked at run time, from the first library under
+    ``lib_dir`` that exports a ``get_corename``; None where none does."""
+    for lib in sorted(lib_dir.glob("*openblas*.so*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(handle, symbol, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def blas() -> dict:
+    """numpy's version, its OpenBLAS build string and the running core."""
+    config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    # a wheel bundles its OpenBLAS in numpy.libs; other builds name the lib directory
+    dirs = [Path(np.__file__).parent.with_name("numpy.libs")]
+    if config.get("lib directory"):
+        dirs.append(Path(config["lib directory"]))
+    core = next((name for name in map(_openblas_core, filter(Path.is_dir, dirs)) if name), None)
+    return {"numpy": np.__version__,
+            "openblas configuration": config.get("openblas configuration"),
+            "core": core}
+
+
+def failure(recorded: dict, running: dict, changed: list[str]) -> str:
+    """The tree's failure message: first any BLAS field that differs from
+    the one the tree was pinned on, then what moved."""
+    message = f"moved since {GOLDEN.name}: {', '.join(changed)}"
+    differ = [f"{key} {recorded.get(key)!r} -> {running.get(key)!r}"
+              for key in sorted(set(recorded) | set(running))
+              if recorded.get(key) != running.get(key)]
+    if differ:
+        message = (f"this machine's BLAS differs from the one {GOLDEN.name} was pinned on "
+                   f"({'; '.join(differ)}), so GEMM bits may move with no code change; "
+                   + message)
+    return message
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -144,7 +193,23 @@ def regenerate(golden: Path, record: dict) -> list[str]:
 def test_pipeline_tree_matches_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text())
     changed = moved(expected, run_pipeline(tmp_path))
-    assert not changed, f"moved since {GOLDEN.name}: {', '.join(changed)}"
+    assert not changed, failure(expected.get("blas", {}), blas(), changed)
+
+
+def test_blas_is_recorded_and_read():
+    recorded = json.loads(GOLDEN.read_text())["blas"]
+    assert set(recorded) == {"numpy", "openblas configuration", "core"}
+    assert set(blas()) == set(recorded)
+
+
+def test_failure_names_a_blas_change_first():
+    recorded = {"numpy": "2.4.6", "openblas configuration": "OpenBLAS 0.3.31", "core": "FakeCore"}
+    running = {**recorded, "core": "SkylakeX"}
+    message = failure(recorded, running, ["command 2: train", "runs/plain/plain.tfl"])
+    assert message.startswith(f"this machine's BLAS differs from the one {GOLDEN.name} was "
+                              "pinned on (core 'FakeCore' -> 'SkylakeX')")
+    assert message.endswith(f"moved since {GOLDEN.name}: command 2: train, runs/plain/plain.tfl")
+    assert failure(recorded, recorded, ["a.csv"]) == f"moved since {GOLDEN.name}: a.csv"
 
 
 def test_moved_names_the_changed_files():
@@ -172,6 +237,6 @@ if __name__ == "__main__":
         sys.exit(f"usage: python {sys.argv[0]} --regen")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     with tempfile.TemporaryDirectory() as top:
-        record = run_pipeline(Path(top))
+        record = {**run_pipeline(Path(top)), "blas": blas()}
     print(f"moved: {', '.join(regenerate(GOLDEN, record)) or 'nothing'}")
     print(f"wrote {GOLDEN}: {len(record['commands'])} commands, {len(record['files'])} files")

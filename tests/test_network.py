@@ -307,6 +307,18 @@ class TestBackward:
         with pytest.raises(ValueError, match="ForwardCache"):
             net.backward_batch(model, None, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("pass_", ["forward", "backward"])
+    def test_empty_batch_rejected(self, attention, pass_):
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3, attention=attention),
+                         Rng(1))
+        with pytest.raises(ValueError, match=r"^empty batch: .* at least one window$"):
+            if pass_ == "forward":
+                net.forward_batch(model, np.empty((0, 4)))
+            else:
+                cache = net.forward_batch(model, [[0.2, 0.4, 0.1, 0.9]])
+                net.backward_batch(model, cache, np.empty((0, 2)))
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("hidden", [3, 24, 100])
     def test_lstm_backward_matches_per_step_loop(self, dtype, hidden):

@@ -66,125 +66,81 @@ def snapshot(model):
     return {name: arr.copy() for name, arr in model.params.items()}
 
 
+def flat_params(model):
+    """The model's blocks end to end in ``PARAMS`` order, as ``train`` lays them."""
+    return np.concatenate([model.params[name] for name in net.PARAMS], axis=None)
+
+
+def block_scaled_gradients(model, rng, dtype=np.float64):
+    """A gradient vector for ``flat_params(model)`` whose blocks each take
+    a scale drawn from 1e-6, 1e-2 and 3."""
+    return np.concatenate([rng.normal(scale=rng.choice([1e-6, 1e-2, 3.0]), size=arr.size)
+                           for arr in model.params.values()]).astype(dtype)
+
+
 class TestAdamStep:
     def test_zero_gradients_leave_parameters(self):
-        model = small_model()
-        state = tr.AdamState.fresh(model, lr=0.01)
-        before = snapshot(model)
-        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-        tr.adam_step(model, grads, state)
-        for name, arr in model.params.items():
-            npt.assert_array_equal(arr, before[name], err_msg=name)
+        params = flat_params(small_model())
+        before = params.copy()
+        state = tr.AdamState(params.size, lr=0.01)
+        tr.adam_step(params, np.zeros_like(params), state)
+        npt.assert_array_equal(params, before)
 
     def test_first_step_magnitude_is_learning_rate(self):
         # fresh state, gradient g: m_hat = g, v_hat = g^2, so the update is
         # lr * g / (|g| + eps) ~ lr * sign(g)
-        model = small_model()
-        state = tr.AdamState.fresh(model, lr=0.001)
-        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-        grads["out.b"] = np.array([0.3])
-        before = float(model.params["out.b"][0])
-        tr.adam_step(model, grads, state)
-        delta = before - float(model.params["out.b"][0])
-        assert delta == pytest.approx(0.001, abs=1e-6)
-
-    def test_no_trainable_block_is_identity(self):
-        model = small_model()
-        state = tr.AdamState.fresh(model, lr=0.1, trainable=[])
-        before = snapshot(model)
-        for _ in range(3):
-            tr.adam_step(model, {}, state)
-        assert state.m == {} and state.v == {} and state.t == 3
-        for name, arr in model.params.items():
-            npt.assert_array_equal(arr, before[name], err_msg=name)
-
-    def test_freeze_invariance_under_random_trainable_set(self):
-        model = small_model(seed=3)
-        coins = Rng(8).uniform_array(len(model.params), 0, 1)
-        trainable = {name for name, coin in zip(model.params, coins) if coin < 0.5}
-        state = tr.AdamState.fresh(model, lr=0.05, trainable=trainable)
-        assert set(state.m) == set(state.v) == trainable
-        before = snapshot(model)
-        for step in range(5):
-            grads = {name: np.full_like(arr, 0.1 * (step + 1))
-                     for name, arr in model.params.items() if name in trainable}
-            tr.adam_step(model, grads, state)
-        for name, arr in model.params.items():
-            if name not in trainable:
-                npt.assert_array_equal(arr, before[name], err_msg=name)
-            else:
-                assert not np.array_equal(arr, before[name]), name
+        params = flat_params(small_model())
+        state = tr.AdamState(params.size, lr=0.001)
+        grads = np.zeros_like(params)
+        grads[-1] = 0.3  # out.b
+        before = params.copy()
+        tr.adam_step(params, grads, state)
+        assert before[-1] - params[-1] == pytest.approx(0.001, abs=1e-6)
+        npt.assert_array_equal(params[:-1], before[:-1])
 
     @pytest.mark.parametrize("attention", [False, True])
     @pytest.mark.parametrize("hidden", [24, 100])
     def test_in_place_step_matches_allocating_formula(self, attention, hidden):
         model = small_model(attention=attention, seed=hidden, n_past=12, n_future=6, hidden=hidden)
-        reference = copy.deepcopy(model)
-        trainable = [name for name in model.params if name != "enc.b"]
-        state = tr.AdamState.fresh(model, lr=0.003, trainable=trainable)
-        ref_state = tr.AdamState.fresh(reference, lr=0.003, trainable=trainable)
+        params = flat_params(model)
+        reference = params.copy()
+        state = tr.AdamState(params.size, lr=0.003)
+        ref_state = tr.AdamState(params.size, lr=0.003)
         rng = np.random.default_rng(hidden)
         for _ in range(300):
-            grads = {name: rng.normal(scale=rng.choice([1e-6, 1e-2, 3.0]), size=model.params[name].shape)
-                     for name in trainable}
-            tr.adam_step(model, grads, state)
+            grads = block_scaled_gradients(model, rng)
+            tr.adam_step(params, grads, state)
             oracles.adam_step(reference, grads, ref_state)
-        for name, arr in model.params.items():
-            assert arr.tobytes() == reference.params[name].tobytes(), name
-        for name in trainable:
-            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
-            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
+        assert params.tobytes() == reference.tobytes()
+        assert state.flat[:2].tobytes() == ref_state.flat[:2].tobytes()
+        assert state.t == ref_state.t == 300
 
     def test_float32_gradients_widen_exactly(self):
         # training hands Adam float32 gradients: each moment update must equal
         # the one on the same gradients cast to float64 first
         model = small_model(hidden=24, seed=3)
-        wide = copy.deepcopy(model)
-        state = tr.AdamState.fresh(model, lr=0.003)
-        wide_state = tr.AdamState.fresh(wide, lr=0.003)
+        params, wide = flat_params(model), flat_params(model)
+        state = tr.AdamState(params.size, lr=0.003)
+        wide_state = tr.AdamState(params.size, lr=0.003)
         rng = np.random.default_rng(3)
         for _ in range(50):
-            grads = {name: rng.normal(scale=rng.choice([1e-6, 1e-2, 3.0]),
-                                      size=arr.shape).astype(np.float32)
-                     for name, arr in model.params.items()}
-            tr.adam_step(model, grads, state)
-            tr.adam_step(wide, {name: g.astype(np.float64) for name, g in grads.items()},
-                         wide_state)
-        for name, arr in model.params.items():
-            assert arr.dtype == np.float64, name
-            assert arr.tobytes() == wide.params[name].tobytes(), name
-            assert state.m[name].tobytes() == wide_state.m[name].tobytes(), name
-            assert state.v[name].tobytes() == wide_state.v[name].tobytes(), name
-
-    def test_unknown_trainable_name_rejected(self):
-        with pytest.raises(ValueError, match=r"unknown trainable block\(s\): \['out\.weight'\]"):
-            tr.AdamState.fresh(small_model(), lr=0.01, trainable=["out.b", "out.weight"])
+            grads = block_scaled_gradients(model, rng, np.float32)
+            tr.adam_step(params, grads, state)
+            tr.adam_step(wide, grads.astype(np.float64), wide_state)
+        assert params.dtype == np.float64
+        assert params.tobytes() == wide.tobytes()
+        assert state.flat[:2].tobytes() == wide_state.flat[:2].tobytes()
 
     def test_shape_incongruence_rejected(self):
-        model = small_model()
-        state = tr.AdamState.fresh(model, lr=0.01)
-        grads = {name: np.zeros_like(arr) for name, arr in model.params.items()}
-        grads["out.w"] = np.zeros(99)
+        params = flat_params(small_model())
+        before = params.copy()
+        state = tr.AdamState(params.size, lr=0.01)
         with pytest.raises(ValueError, match="shape"):
-            tr.adam_step(model, grads, state)
-        del grads["out.w"]
-        with pytest.raises(ValueError, match="does not match"):
-            tr.adam_step(model, grads, state)
-
-    def test_gradients_must_name_exactly_the_trained_blocks(self):
-        model = small_model()
-        state = tr.AdamState.fresh(model, lr=0.01, trainable=["out.w", "out.b"])
-        before = snapshot(model)
-        params = model.params
-        missing = {"out.w": np.zeros_like(params["out.w"])}
-        extra = {name: np.zeros_like(params[name]) for name in ("out.w", "out.b", "dec.b")}
-        with pytest.raises(ValueError, match=r"does not match the trained blocks: \['out\.b'\]"):
-            tr.adam_step(model, missing, state)
-        with pytest.raises(ValueError, match=r"does not match the trained blocks: \['dec\.b'\]"):
-            tr.adam_step(model, extra, state)
+            tr.adam_step(params, np.zeros(params.size - 1), state)
+        with pytest.raises(ValueError, match="shape"):
+            tr.adam_step(params[1:], np.zeros(params.size - 1), state)
         assert state.t == 0
-        for name, arr in model.params.items():
-            npt.assert_array_equal(arr, before[name], err_msg=name)
+        npt.assert_array_equal(params, before)
 
 
 class TestTrain:
@@ -218,9 +174,9 @@ class TestTrain:
         for name, arr in m1.params.items():
             npt.assert_array_equal(arr, m2.params[name], err_msg=name)
 
-    @pytest.mark.parametrize("trainable", [None, ["out.w", "out.b"]])
-    def test_float32_mirror_equals_master_after_every_step(self, monkeypatch, trainable):
-        mirrors = []
+    @pytest.mark.parametrize("head_only", [False, True])
+    def test_float32_mirror_equals_master_after_every_step(self, monkeypatch, head_only):
+        mirrors, steps = [], []
 
         def recorded(forward):
             def run(model, *args, **kwargs):
@@ -228,26 +184,48 @@ class TestTrain:
                 return forward(model, *args, **kwargs)
             return run
 
-        def assert_synced(master):
-            for name, arr in master.params.items():
-                assert arr.dtype == np.float64, name
-                assert mirrors[-1].params[name].tobytes() == arr.astype(np.float32).tobytes(), name
-
-        def adam_step(model, grads, state):
-            assert_synced(model)  # the previous step's update reached the mirror
-            real_adam_step(model, grads, state)
+        def adam_step(params, grads, state):
+            # the previous step's update reached the mirror's trained slice
+            mirror = flat_params(mirrors[-1])[-params.size:]
+            assert mirror.tobytes() == params.astype(np.float32).tobytes()
+            assert params.dtype == np.float64 and grads.dtype == np.float32
+            steps.append(params.size)
+            real_adam_step(params, grads, state)
 
         real_adam_step = tr.adam_step
         monkeypatch.setattr(tr, "forward_batch", recorded(tr.forward_batch))
         monkeypatch.setattr(tr, "_forward", recorded(tr._forward))
         monkeypatch.setattr(tr, "adam_step", adam_step)
+        model = small_model(seed=14)
         data = make_windows(Rng(4).uniform_array(60, 0, 1), 8, 3)
-        trained, _ = tr.train(small_model(seed=14), data,
-                              tr.TrainConfig(epochs=2, batch=8, lr=0.01, seed=3), trainable)
-        assert_synced(trained)
+        trained, _ = tr.train(model, data, tr.TrainConfig(epochs=2, batch=8, lr=0.01, seed=3),
+                              head_only)
+        for name, arr in trained.params.items():
+            assert arr.dtype == np.float64, name
+            assert mirrors[-1].params[name].tobytes() == arr.astype(np.float32).tobytes(), name
+        head = model.params["out.w"].size + model.params["out.b"].size
+        assert steps == [head if head_only else flat_params(model).size] * len(mirrors)
         assert len(mirrors) == 2 * math.ceil(len(data) / 8)
         assert all(mirror is mirrors[0] for mirror in mirrors)
         assert mirrors[0] is not trained
+
+    def test_head_only_trains_the_output_layer_alone(self):
+        model = small_model(seed=16)
+        data = make_windows(Rng(6).uniform_array(60, 0, 1), 8, 3)
+        trained, _ = tr.train(model, data, tr.TrainConfig(epochs=2, batch=8, lr=0.01, seed=3),
+                              head_only=True)
+        for name, arr in trained.params.items():
+            if name.startswith("out."):
+                assert not np.array_equal(arr, model.params[name]), name
+            else:
+                assert arr.tobytes() == model.params[name].tobytes(), name
+
+    def test_returned_blocks_are_slices_of_one_vector(self):
+        trained, _ = tr.train(small_model(seed=17), constant_windows(), tr.TrainConfig(epochs=1))
+        vector = trained.params["enc.w"].base
+        assert vector.ndim == 1 and vector.dtype == np.float64
+        assert vector.tobytes() == flat_params(trained).tobytes()
+        assert all(arr.base is vector for arr in trained.params.values())
 
     def test_two_seeded_runs_write_identical_model_files(self, tmp_path):
         model = small_model(attention=True, seed=15)
@@ -353,7 +331,10 @@ def reference_head_phase(source, data, epochs, batch, lr, seed):
     model = copy.deepcopy(source)
     model.params.update(net.init_output_layer(model.config, Rng(seed)))
     head = ("out.w", "out.b")
-    state = tr.AdamState.fresh(model, lr, head)
+    bounds = np.cumsum([0] + [model.params[name].size for name in head])
+    weights = np.concatenate([model.params[name] for name in head])
+    model.params.update({name: weights[a:b] for name, a, b in zip(head, bounds, bounds[1:])})
+    state = tr.AdamState(weights.size, lr)
     model32 = net.Seq2SeqModel(model.config, {name: arr.astype(np.float32)
                                               for name, arr in model.params.items()})
     rng = Rng(seed)
@@ -367,7 +348,7 @@ def reference_head_phase(source, data, epochs, batch, lr, seed):
             cache = net.forward_batch(model32, data.inputs[idx])
             loss, dpred = tr.huber(cache.preds, data.targets[idx])
             grads = net.backward_batch(model32, cache, dpred)
-            tr.adam_step(model, {name: grads[name] for name in head}, state)
+            tr.adam_step(weights, np.concatenate([grads[name] for name in head]), state)
             for name in head:
                 model32.params[name][...] = model.params[name]
             total += loss * len(idx)
