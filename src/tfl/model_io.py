@@ -118,8 +118,9 @@ def _blocks(config: ModelConfig) -> list[tuple[str, str, slice, tuple[int, ...]]
 
 def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
     """Read a model file back; rejects bad magic, any other version, truncation,
-    malformed headers, and weight blocks whose name or shape contradicts the
-    stored config (checked before the block's data is read)."""
+    malformed headers, weight blocks whose name or shape contradicts the
+    stored config (checked before the block's data is read), and a weight
+    that is NaN, inf or too large for float32 (checked as its block is read)."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, path, "magic")
@@ -179,6 +180,9 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
             if params[param] is None:
                 params[param] = np.empty(shapes[param])
             params[param][rows] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            # training and inference run in float32; the test is false for NaN too
+            if not np.all(np.abs(params[param][rows]) <= np.finfo(np.float32).max):
+                raise ValueError(f"{path}: block {name!r} is not finite in float32")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last weight block")
     if pending:

@@ -42,7 +42,9 @@ given: float32 in training (on a mirror of the float64 master weights, see
 finite-difference check.  The model file is float64.  ``predict_batch``
 returns float64; a forecast can differ from the float64 forward's in about
 the 7th significant digit.  The pinned bits of trained models were taken
-with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
+with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).  The forward pass owns
+its overflow policy: ``_forward`` ignores overflow and invalid operations, per
+call and thread (so each ``predict_batch`` worker), and checks its predictions.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
         _slab_matmul(z[t], w_t, act)
         act += bias
         np.tanh(act[:, cand], out=g_act)
-        sigmoid(act, out=act)
+        sigmoid(act)
         act[:, cand] = g_act
         np.multiply(f, c_prev, out=c_t)
         np.multiply(i, g, out=g_act)
@@ -290,6 +292,7 @@ def forward_batch(model: Seq2SeqModel, inputs: np.ndarray) -> ForwardCache:
     return _forward(model, inputs, keep=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCache:
     """The forward pass; ``keep=False`` skips the per-step backprop cache and
     keeps only the hidden sequences that attention and the output layer read.
@@ -321,7 +324,7 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
         feats[:, :, hid:] = dec.h
         enc_b = enc.h.transpose(1, 0, 2)  # (B, n_past, hidden): matmul batches over windows
         scores = np.matmul(dec.h.transpose(1, 0, 2), enc_b.transpose(0, 2, 1))
-        attn = softmax(scores, axis=-1).transpose(1, 0, 2)
+        attn = softmax(scores).transpose(1, 0, 2)
         np.matmul(attn.transpose(1, 0, 2), enc_b, out=feats[:, :, :hid].transpose(1, 0, 2))
     # the output layer in slabs too, one row per (step, window)
     out = _slab_matmul(feats.reshape(cfg.n_future * B, feats.shape[-1]), p["out.w"][:, None],

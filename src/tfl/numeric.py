@@ -1,9 +1,10 @@
 """Dense float primitives and a deterministic random stream.
 
 Everything downstream (network, training, augmentation) builds on the
-handful of operations here.  Array math is 64-bit, except that ``sigmoid``
-and ``softmax`` keep a float32 input's dtype for float32 training and
-inference; matrices are plain 2-D ``numpy`` arrays in row-major layout.
+handful of operations here.  ``sigmoid`` and ``softmax`` are bare kernels
+that keep their float array's dtype; the passes that call them own the
+overflow policy (``network._forward`` and ``training.train``).  Matrices are
+plain 2-D ``numpy`` arrays in row-major layout.
 
 The random generator is a hand-rolled splitmix64 (Steele, Lea & Flood's
 mixing constants) rather than the platform default, so that a seed
@@ -111,40 +112,25 @@ class Rng:
         indices[:] = items
 
 
-def _float_array(x) -> np.ndarray:
-    """``x`` as an array: float32 keeps its dtype, anything else is float64."""
-    x = np.asarray(x)
-    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
-
-
-def sigmoid(x, out=None):
-    """Logistic 1 / (1 + exp(-x)), in place: negate, exp, add one, reciprocal.
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic 1 / (1 + exp(-x)) of a float array, in place: negate, exp,
+    add one, reciprocal; returns ``x``.
 
     For x below about -709 (about -88 in float32), exp(-x) overflows to inf
-    (silently) and the result is exactly 0.  Wherever the logistic is a
-    normal float the relative error stays within about two ulp.  ``out``
-    (may be ``x`` itself) receives the result; a scalar input without
-    ``out`` returns a float.
+    and the result is exactly 0; the caller's numpy error state decides
+    whether that overflow warns.  Wherever the logistic is a normal float the
+    relative error stays within about two ulp.
     """
-    x = _float_array(x)
-    res = np.negative(x, out=np.empty_like(x) if out is None else out)
-    with np.errstate(over="ignore"):
-        np.exp(res, out=res)
-    res += 1.0
-    np.reciprocal(res, out=res)
-    if out is None and res.ndim == 0:
-        return float(res)
-    return res
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    return np.reciprocal(x, out=x)
 
 
-def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-subtracted softmax along ``axis``; rejects empty input."""
-    v = _float_array(v)
-    if v.size == 0:
-        raise ValueError("softmax of empty input")
-    shifted = v - np.max(v, axis=axis, keepdims=True)
-    ev = np.exp(shifted)
-    return ev / np.sum(ev, axis=axis, keepdims=True)
+def softmax(v: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax of a non-empty float array along its last axis."""
+    ev = np.exp(v - np.max(v, axis=-1, keepdims=True))
+    return ev / np.sum(ev, axis=-1, keepdims=True)
 
 
 def assert_finite(arr: np.ndarray, what: str) -> None:

@@ -35,7 +35,7 @@ from .network import (
     init_output_layer,
     output_grads,
 )
-from .numeric import Rng
+from .numeric import Rng, assert_finite
 
 DEFAULT_PHASE1_LR = 0.001
 DEFAULT_PHASE2_LR = 0.0001
@@ -130,6 +130,7 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     model: Seq2SeqModel,
     data: WindowedDataset,
@@ -149,7 +150,9 @@ def train(
     Huber is taken in float64, ``adam_step`` updates the trained slice in
     float64 from its float32 gradients, and one copy rounds the slice into
     the mirror.  The bits were pinned with numpy 2.4.6 on scipy-openblas
-    0.3.31 (x86-64).
+    0.3.31 (x86-64).  Overflow and invalid operations are ignored, and each
+    step's predictions and loss, then the mirror once at the end, are checked:
+    weights that left float32's range raise ``NumericError``.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -194,6 +197,7 @@ def train(
             np.copyto(trained32, trained, casting="same_kind")
             total += loss * len(idx)
         history.append(total / len(data))
+    assert_finite(master32, "float32 weights after the last step")
     return model, history
 
 

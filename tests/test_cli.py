@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfl import dataset as ds
 from tfl import evaluation as ev
@@ -762,3 +766,112 @@ class TestExitCodes:
         assert main([command, *flags]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: unrecognized arguments: {' '.join(flags)}"]
+
+
+def run_in(directory: Path, argv: list[str]) -> tuple[int, list[str]]:
+    """``main(argv)`` in-process with ``directory`` as the working directory;
+    returns the exit code and the stderr lines."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    text = err.getvalue()
+    assert "Traceback" not in text, text
+    return code, text.splitlines()
+
+
+def assert_one_line_outcome(code: int, lines: list[str]) -> None:
+    """A documented exit code; a success writes only gap-fill notes, a
+    failure exactly one line."""
+    assert code in (0, 1, 2, 3), lines
+    if code == 0:
+        assert all(line.startswith("note: ") for line in lines), lines
+    else:
+        assert len(lines) == 1, lines
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A 400-row series, a hidden-3 model trained on it and its echo file."""
+    top = tmp_path_factory.mktemp("trained")
+    data = top / "series.csv"
+    assert main(["synth", "--out", str(data), "--length", "400", "--base-bps", "5e8",
+                 "--daily-amp", "2e8", "--noise-std", "1e7", "--seed", "11"]) == 0
+    model = top / "run" / "m.tfl"
+    assert main(train_args(data, model, hidden="3", epochs="1")) == 0
+    return data, model.read_bytes(), (top / "run" / "train_config.txt").read_text()
+
+
+# each edit: (operation, position, bytes); positions wrap around the file
+_BYTE_EDITS = st.lists(st.tuples(st.sampled_from(["overwrite", "truncate", "splice"]),
+                                 st.integers(0, 1 << 16), st.binary(min_size=1, max_size=8)),
+                       min_size=1, max_size=3)
+
+# small numbers only, so that no mutant allocates much or trains for long
+_CONFIG_VALUES = st.sampled_from(["", "0", "1", "2", "-1", "0.5", "1e-300", "1e38", "1e300",
+                                  "-1e300", "nan", "inf", "-inf", "true", "false", "x", "0x10",
+                                  "\u0663", "1e3", "="])
+
+
+class TestFileMutations:
+    """Mutants of a trained model file and of a train echo file, run
+    in-process: each ends with a documented exit code and one stderr line at
+    most.  In-process is safe: ``load_model`` bounds every allocation by the
+    file's size, and the config values are small."""
+
+    @given(_BYTE_EDITS)
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_evaluate_of_a_mutant_model_gives_one_line(self, tmp_path_factory, trained, edits):
+        data, raw, _ = trained
+        for op, at, blob in edits:
+            at %= len(raw) + 1
+            if op == "overwrite":
+                raw = raw[:at] + blob + raw[at + len(blob):]
+            elif op == "truncate":
+                raw = raw[:at]
+            else:
+                raw = raw[:at] + blob + raw[at:]
+        top = tmp_path_factory.getbasetemp()
+        (top / "mutant.tfl").write_bytes(raw)
+        assert_one_line_outcome(*run_in(top, ["evaluate", "--model", "mutant.tfl",
+                                              "--data", str(data), "--out-dir", "eval"]))
+
+    @given(st.integers(0, 63), _CONFIG_VALUES)
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_train_from_a_mutant_echo_gives_one_line(self, tmp_path_factory, trained, line, value):
+        _, _, echo = trained
+        lines = echo.splitlines()
+        key = lines[line % len(lines)].partition("=")[0]
+        lines[line % len(lines)] = f"{key}={value}"
+        top = tmp_path_factory.getbasetemp() / "echo"
+        top.mkdir(exist_ok=True)
+        (top / "mutant.conf").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert_one_line_outcome(*run_in(top, ["train", "--config", "mutant.conf"]))
+
+
+class TestNumericFailureLines:
+    @pytest.mark.parametrize("lr", ["1e38", "1e300"])
+    def test_diverging_run_is_one_line(self, tmp_path, series_csv, lr):
+        out = tmp_path / "m.tfl"
+        code, lines = run_in(tmp_path, ["train", "--data", str(series_csv), "--out", str(out),
+                                        "--hidden", "3", "--epochs", "2", "--lr", lr])
+        assert code == 3
+        assert lines == ["numeric failure: non-finite values in forward predictions"]
+        assert not out.exists()
+
+    def test_weights_past_float32_after_the_last_step_are_not_saved(self, tmp_path):
+        # one step of 64 windows: its update leaves float32's range, and no
+        # forward follows it
+        data, out = tmp_path / "s.csv", tmp_path / "m.tfl"
+        assert main(["synth", "--out", str(data), "--length", "100", "--base-bps", "5e8",
+                     "--daily-amp", "2e8", "--noise-std", "1e7", "--seed", "11"]) == 0
+        code, lines = run_in(tmp_path, ["train", "--data", str(data), "--out", str(out),
+                                        "--hidden", "3", "--epochs", "1", "--batch", "64",
+                                        "--lr", "1e300"])
+        assert code == 3
+        assert lines == ["numeric failure: non-finite values in float32 weights after the last step"]
+        assert not out.exists()

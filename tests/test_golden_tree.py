@@ -13,6 +13,12 @@ a hidden 100 attention model trained and evaluated over the same 323
 windows.  The SHA-256 of every file it leaves, and each command's exit code, stdout and stderr, must equal
 ``golden_tree.json``; a mismatch names what moved.
 
+The pipeline runs in a child process whose BLAS runs one thread
+(``PINNED_ENV``): OpenBLAS splits the backward pass's weight-gradient GEMMs
+(inner dimension steps x batch) by thread, so a batch that is not a multiple
+of 8 windows trains to other bits under 1 and 2 threads.  The hidden 24
+transfer's last batch holds 38 windows.
+
 A change that moves these bits on purpose rewrites the JSON with
 
     python tests/test_golden_tree.py --regen
@@ -20,9 +26,9 @@ A change that moves these bits on purpose rewrites the JSON with
 which prints what moved against the old JSON before it overwrites it; the
 change says in CHANGES.md which files moved and why.  Every digest depends
 on the GEMM kernel, which a ``DYNAMIC_ARCH`` OpenBLAS picks by the CPU at
-run time, so the regen also records the BLAS it ran on (``blas()``).  A
-failure on a machine whose BLAS differs from the recorded one says so
-before it names what moved; it fails all the same.
+run time, so the regen also records the BLAS the child ran on (``blas()``,
+its thread count included).  A failure on a machine whose BLAS differs from
+the recorded one says so before it names what moved; it fails all the same.
 """
 
 import contextlib
@@ -31,6 +37,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -38,6 +45,9 @@ from pathlib import Path
 import numpy as np
 
 GOLDEN = Path(__file__).with_name("golden_tree.json")
+
+# the pipeline's BLAS runs one thread, as the benchmark's commands do
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 _BODY = ["--hidden", "6", "--batch", "32", "--seed", "7"]
 _MODEL = ["--n-past", "8", "--n-future", "3", *_BODY]
@@ -98,34 +108,38 @@ PIPELINE = [
 ]
 
 
-def _openblas_core(lib_dir: Path) -> str | None:
-    """The core OpenBLAS picked at run time, from the first library under
-    ``lib_dir`` that exports a ``get_corename``; None where none does."""
-    for lib in sorted(lib_dir.glob("*openblas*.so*")):
+def _openblas_query(lib_dirs: list[Path], query: str, restype):
+    """``query`` ("corename" or "num_threads") asked of the running OpenBLAS,
+    through the first library under ``lib_dirs`` that exports its getter;
+    None where none does."""
+    for lib in [lib for lib_dir in lib_dirs for lib in sorted(lib_dir.glob("*openblas*.so*"))]:
         try:
             handle = ctypes.CDLL(str(lib))
         except OSError:
             continue
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                       "openblas_get_corename64_", "openblas_get_corename"):
-            get = getattr(handle, symbol, None)
-            if get is not None:
-                get.restype = ctypes.c_char_p
-                return get().decode()
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"{prefix}_get_{query}{suffix}", None)
+                if get is not None:
+                    get.argtypes, get.restype = [], restype
+                    return get()
     return None
 
 
 def blas() -> dict:
-    """numpy's version, its OpenBLAS build string and the running core."""
+    """numpy's version, its OpenBLAS build string, the running core and the
+    number of threads it runs."""
     config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     # a wheel bundles its OpenBLAS in numpy.libs; other builds name the lib directory
     dirs = [Path(np.__file__).parent.with_name("numpy.libs")]
     if config.get("lib directory"):
         dirs.append(Path(config["lib directory"]))
-    core = next((name for name in map(_openblas_core, filter(Path.is_dir, dirs)) if name), None)
+    dirs = [path for path in dirs if path.is_dir()]
+    core = _openblas_query(dirs, "corename", ctypes.c_char_p)
     return {"numpy": np.__version__,
             "openblas configuration": config.get("openblas configuration"),
-            "core": core}
+            "core": core and core.decode(),
+            "threads": _openblas_query(dirs, "num_threads", ctypes.c_int)}
 
 
 def failure(recorded: dict, running: dict, changed: list[str]) -> str:
@@ -168,6 +182,17 @@ def run_pipeline(top: Path) -> dict:
     return {"commands": commands, "files": files}
 
 
+def run_pinned(top: Path) -> dict:
+    """``run_pipeline(top)`` plus ``blas()``, from a child process run with
+    ``PINNED_ENV`` that turns warnings into errors, as the suite does."""
+    child = subprocess.run([sys.executable, "-W", "error", __file__, "--run", str(top)],
+                           env={**os.environ, **PINNED_ENV}, capture_output=True, text=True,
+                           timeout=600)
+    if child.returncode:
+        raise RuntimeError(f"pipeline child exited {child.returncode}: {child.stderr}")
+    return json.loads(child.stdout)
+
+
 def moved(expected: dict, actual: dict) -> list[str]:
     """What differs between two pipeline records: command indices with their
     argv, and file paths (missing, extra or with other bytes)."""
@@ -192,13 +217,15 @@ def regenerate(golden: Path, record: dict) -> list[str]:
 
 def test_pipeline_tree_matches_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text())
-    changed = moved(expected, run_pipeline(tmp_path))
-    assert not changed, failure(expected.get("blas", {}), blas(), changed)
+    actual = run_pinned(tmp_path)
+    changed = moved(expected, actual)
+    assert not changed, failure(expected.get("blas", {}), actual["blas"], changed)
 
 
 def test_blas_is_recorded_and_read():
     recorded = json.loads(GOLDEN.read_text())["blas"]
-    assert set(recorded) == {"numpy", "openblas configuration", "core"}
+    assert set(recorded) == {"numpy", "openblas configuration", "core", "threads"}
+    assert recorded["threads"] == 1
     assert set(blas()) == set(recorded)
 
 
@@ -233,10 +260,13 @@ def test_regenerate_reports_what_moved(tmp_path):
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    if len(sys.argv) == 3 and sys.argv[1] == "--run":  # the child of run_pinned
+        print(json.dumps({**run_pipeline(Path(sys.argv[2])), "blas": blas()}))
+        sys.exit()
     if sys.argv[1:] != ["--regen"]:
         sys.exit(f"usage: python {sys.argv[0]} --regen")
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     with tempfile.TemporaryDirectory() as top:
-        record = {**run_pipeline(Path(top)), "blas": blas()}
+        record = run_pinned(Path(top))
     print(f"moved: {', '.join(regenerate(GOLDEN, record)) or 'nothing'}")
     print(f"wrote {GOLDEN}: {len(record['commands'])} commands, {len(record['files'])} files")

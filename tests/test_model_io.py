@@ -19,6 +19,7 @@ def make_model(attention=False, seed=5):
 
 
 PROV = {"seed": 42, "epochs": 10, "parent_sha256": None}
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def with_header(raw: bytes, edit) -> bytes:
@@ -224,6 +225,32 @@ class TestRejection:
         assert main(["evaluate", "--model", str(path), "--data", str(data),
                      "--out-dir", str(tmp_path / "eval")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"data error: {path}: {problem}"]
+
+    @pytest.mark.parametrize("block, value", [
+        ("out.w", math.inf), ("out.w", -math.inf), ("dec.wi", math.nan), ("dec.wi", 1e300),
+        ("enc.wc", math.nextafter(FLOAT32_MAX, math.inf)),
+    ])
+    def test_weight_float32_cannot_hold_is_one_line_naming_the_block(self, tmp_path, capsys,
+                                                                     block, value):
+        # training and inference run in float32, which cannot hold the value
+        path = tmp_path / "m.tfl"
+        mio.save_model(make_model(), ScalerParams(0.0, 1.0), {**PROV, "split": 0.5}, path)
+        raw = path.read_bytes()
+        at = raw.index(dict(file_blocks(raw))[block].tobytes())  # the block's first weight
+        path.write_bytes(raw[:at] + struct.pack("<d", value) + raw[at + 8:])
+        data = tmp_path / "series.csv"
+        data.write_text("timestamp,bps\n" + "".join(f"{300 * k},{k + 1}\n" for k in range(20)))
+        assert main(["evaluate", "--model", str(path), "--data", str(data),
+                     "--out-dir", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {path}: block {block!r} is not finite in float32"]
+
+    def test_float32_max_weight_loads(self, tmp_path):
+        path = tmp_path / "m.tfl"
+        model = make_model()
+        model.params["out.w"][0] = -FLOAT32_MAX
+        mio.save_model(model, None, PROV, path)
+        assert mio.load_model(path)[0].params["out.w"][0] == -FLOAT32_MAX
 
     def test_unknown_scaler_key_rejected(self, tmp_path):
         path = tmp_path / "m.tfl"

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -464,6 +465,28 @@ class TestForwardProperties:
             for k in range(4):
                 npt.assert_allclose(batch[k], net.forward_batch(model, windows[k:k + 1]).preds[0],
                                     rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_gates_forward_without_a_warning(self, monkeypatch, lanes, attention,
+                                                       dtype):
+        # every gate preactivation is below -100, so each sigmoid's exp
+        # overflows to inf in float32 and float64 alike; the pass ignores that
+        # on the caller's thread and on predict_batch's workers
+        lanes(2)
+        monkeypatch.setattr(net, "PREDICT_CHUNK", 8)
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
+                                         attention=attention), Rng(9))
+        for lstm in ("enc", "dec"):
+            model.params[lstm + ".b"][:] = -1000.0
+        windows = Rng(10).uniform_array(160, 0, 1).reshape(40, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = net.forward_batch(net.Seq2SeqModel(model.config, {
+                name: arr.astype(dtype) for name, arr in model.params.items()}), windows)
+            preds = net.predict_batch(model, windows)
+        assert np.all(cache.enc.gates[..., :3] == 0.0)  # the forget gate saturated
+        assert np.all(np.isfinite(cache.preds)) and np.all(np.isfinite(preds))
 
     @pytest.fixture()
     def lanes(self, monkeypatch):

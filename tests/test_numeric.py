@@ -32,14 +32,21 @@ def bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def logistic(x):
+    """``sigmoid`` of a copy of ``x`` under the passes' error state: ``sigmoid``
+    writes into its argument and sets no error state of its own."""
+    with np.errstate(over="ignore"):
+        return sigmoid(np.array(x, copy=True))
+
+
 class TestActivations:
     def test_sigmoid_at_zero(self):
-        assert sigmoid(0.0) == 0.5
+        npt.assert_array_equal(sigmoid(np.zeros(3)), 0.5)
 
     def test_sigmoid_symmetry(self):
         # sigmoid(-x) == 1 - sigmoid(x), both sides evaluated numerically
-        x = 2.0
-        npt.assert_allclose(sigmoid(-x), 1.0 - sigmoid(x), atol=1e-15)
+        x = np.array([2.0])
+        npt.assert_allclose(logistic(-x), 1.0 - logistic(x), atol=1e-15)
 
     def test_ranges_and_monotonicity(self):
         xs = np.linspace(-18, 18, 1001)
@@ -52,9 +59,8 @@ class TestActivations:
     def test_matches_one_exp_reference_bitwise(self):
         rng = np.random.default_rng(3)
         xs = np.concatenate([rng.normal(scale=s, size=20000) for s in (1e-3, 1, 30, 1e3)]
-                            + [[0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 746.0, -746.0,
-                                np.inf, -np.inf]])
-        npt.assert_array_equal(bits(sigmoid(xs)), bits(one_exp_sigmoid(xs)))
+                            + [EDGES])
+        npt.assert_array_equal(bits(logistic(xs)), bits(one_exp_sigmoid(xs)))
 
     def test_relative_error_against_long_double_logistic(self):
         rng = np.random.default_rng(5)
@@ -64,46 +70,41 @@ class TestActivations:
         exact = 1 / (1 + np.exp(-xs.astype(np.longdouble)))
         normal = exact >= np.finfo(np.float64).smallest_normal
         assert normal.sum() > 200000
-        rel = np.abs((sigmoid(xs).astype(np.longdouble) - exact) / exact)
+        rel = np.abs((logistic(xs).astype(np.longdouble) - exact) / exact)
         assert rel[normal].max() <= 4.5e-16
 
-    def test_saturation_is_graceful(self):
+    def test_saturation_follows_the_callers_error_state(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sigmoid(1000.0) == 1.0
-            assert sigmoid(-1000.0) == 0.0
-            npt.assert_array_equal(sigmoid(np.array([-746.0, -1e308, -np.inf])), 0.0)
+            with np.errstate(over="ignore"):
+                npt.assert_array_equal(sigmoid(np.array([1000.0, -0.0])), [1.0, 0.5])
+                npt.assert_array_equal(sigmoid(np.array([-746.0, -1e308, -np.inf])), 0.0)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            sigmoid(np.array([-1000.0]))
 
-    def test_out_aliasing_input_matches_reference_bitwise(self):
+    def test_in_place_matches_reference_bitwise(self):
         xs = spread_sample().reshape(-1, 4)
         buf = xs.copy()
-        result = sigmoid(buf, out=buf)
+        with np.errstate(over="ignore"):
+            result = sigmoid(buf)
         assert result is buf
         npt.assert_array_equal(bits(buf), bits(one_exp_sigmoid(xs)))
 
-    def test_strided_column_out_matches_reference_bitwise(self):
+    def test_strided_column_in_place_matches_reference_bitwise(self):
         xs = spread_sample()
-        buf = np.full((len(xs), 3), 7.0)
-        result = sigmoid(xs, out=buf[:, 1])
-        assert np.shares_memory(result, buf)
-        npt.assert_array_equal(bits(buf[:, 1]), bits(one_exp_sigmoid(xs)))
-        npt.assert_array_equal(buf[:, [0, 2]], 7.0)
-        # the input may itself be a strided column, written in place
         grid = np.stack([xs, -xs], axis=1)
-        sigmoid(grid[:, 1], out=grid[:, 1])
+        with np.errstate(over="ignore"):
+            result = sigmoid(grid[:, 1])
+        assert np.shares_memory(result, grid)
         npt.assert_array_equal(bits(grid[:, 1]), bits(one_exp_sigmoid(-xs)))
         npt.assert_array_equal(bits(grid[:, 0]), bits(xs))
 
     @pytest.mark.parametrize("value", EDGES + [2.0, -3.25])
-    def test_scalar_inputs_match_reference_bitwise(self, value):
-        expected = bits(one_exp_sigmoid(np.array([value]))[0])
-        for x in (value, np.float64(value), np.array(value)):
-            got = sigmoid(x)
-            assert type(got) is float
-            assert bits(got) == expected
-        out = np.empty(())
-        assert sigmoid(np.array(value), out=out) is out
-        assert bits(out) == expected
+    def test_zero_d_array_matches_reference_bitwise(self, value):
+        x = np.array(value)
+        with np.errstate(over="ignore"):
+            assert sigmoid(x) is x
+        assert bits(x) == bits(one_exp_sigmoid(np.array([value]))[0])
 
 
 class TestSoftmax:
@@ -118,10 +119,6 @@ class TestSoftmax:
 
     def test_large_values_no_overflow(self):
         npt.assert_allclose(softmax(np.array([1000.0, 1000.0])), [0.5, 0.5])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            softmax(np.array([]))
 
     @given(
         st.lists(st.floats(-50, 50), min_size=1, max_size=8),
@@ -139,25 +136,22 @@ class TestSoftmax:
 
 
 class TestFloat32:
-    """sigmoid and softmax keep a float32 input's dtype, as float32 inference
-    needs; every other input is computed in float64."""
+    """sigmoid and softmax keep their array's dtype, float32 for training
+    and inference, float64 for the finite-difference checks."""
 
     def test_sigmoid_keeps_float32(self):
         xs = spread_sample().astype(np.float32)
         with np.errstate(over="ignore"):
             expected = (np.float32(1) / (np.float32(1) + np.exp(-xs))).view(np.int32)
-        got = sigmoid(xs)
+        got = logistic(xs)
         assert got.dtype == np.float32
         npt.assert_array_equal(got.view(np.int32), expected)
-        buf = xs.copy()
-        assert sigmoid(buf, out=buf) is buf
-        npt.assert_array_equal(buf.view(np.int32), expected)
 
     def test_float32_sigmoid_saturates_to_exact_zero(self):
         # float32 exp overflows above about 88.72
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = sigmoid(np.float32([-89, -104, -1000]))
+            got = logistic(np.float32([-89, -104, -1000]))
         assert got.dtype == np.float32
         npt.assert_array_equal(got, 0.0)
 
@@ -167,14 +161,11 @@ class TestFloat32:
         assert got.dtype == np.float32
         npt.assert_allclose(got, softmax(v), rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int64, list])
-    def test_other_inputs_give_float64_bits_as_before(self, dtype):
-        grid = np.linspace(-750, 750, 6000).reshape(-1, 3).round()
-        given = grid.tolist() if dtype is list else grid.astype(dtype)
-        x = np.asarray(given, dtype=np.float64)
+    def test_float64_bits_match_the_references(self):
+        x = np.linspace(-750, 750, 6000).reshape(-1, 3).round()
         ev = np.exp(x - x.max(axis=-1, keepdims=True))
-        for got, expected in ((sigmoid(given), one_exp_sigmoid(x)),
-                              (softmax(given), ev / ev.sum(axis=-1, keepdims=True))):
+        for got, expected in ((logistic(x), one_exp_sigmoid(x)),
+                              (softmax(x), ev / ev.sum(axis=-1, keepdims=True))):
             assert got.dtype == np.float64
             npt.assert_array_equal(bits(got), bits(expected))
 
