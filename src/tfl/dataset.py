@@ -320,16 +320,16 @@ def concat_windows(parts: list[WindowedDataset]) -> WindowedDataset:
     )
 
 
-def split(series: TimeSeries, ratio: float, min_points: int | None = None) -> tuple[TimeSeries, TimeSeries]:
+def split(series: TimeSeries, ratio: float, min_points: int) -> tuple[TimeSeries, TimeSeries]:
     """Chronological split at floor(ratio * length); never shuffles.
 
-    ``min_points`` (typically n_past + n_future) rejects splits that leave
-    a side too short to window.
+    ``min_points`` (n_past + n_future) rejects splits that leave a side too
+    short to window.
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must be in (0, 1), got {ratio}")
     cut = int(math.floor(ratio * len(series.values)))
-    if min_points is not None and (cut < min_points or len(series.values) - cut < min_points):
+    if cut < min_points or len(series.values) - cut < min_points:
         raise DataError(
             f"split at {cut}/{len(series.values)} leaves a side shorter than {min_points} points"
         )

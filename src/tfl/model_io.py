@@ -12,10 +12,11 @@ Layout (all integers little-endian uint32 unless noted):
                     ndim u32, dims u32 x ndim,
                     data float64 little-endian, row-major
 
-Blocks follow ``network.PARAMS``.  Each stacked LSTM array is stored as
-one block per gate, in ``GATES`` order (``enc.wf`` ... ``dec.bo``), then
-``out.w`` and ``out.b``; the split exists only in the file, and every
-block's shape follows from ``network.param_shapes``.  Canonical JSON plus
+Blocks follow ``network.param_shapes``.  Each stacked LSTM array is
+stored as one block per gate, in ``GATES`` order (``enc.wf`` ... ``dec.bo``),
+then ``out.w`` and ``out.b``; the split exists only in the file, and every
+block's shape follows from ``network.param_shapes``.  Taken in file order,
+the blocks are consecutive runs of the model's vector.  Canonical JSON plus
 fixed block order makes load -> save byte-identical.
 Transferred models carry the SHA-256 of their parent file in provenance.
 """
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import ScalerParams
-from .network import GATES, PARAMS, ModelConfig, Seq2SeqModel, param_shapes
+from .network import GATES, ModelConfig, Seq2SeqModel, param_shapes
 
 MAGIC = b"TFL1"
 VERSION = 1
@@ -70,14 +71,11 @@ def save_model(model: Seq2SeqModel, scaler: ScalerParams | None, provenance: dic
         fh.write(blob)
         blocks = _blocks(model.config)
         fh.write(struct.pack("<I", len(blocks)))
-        for name, param, rows, _ in blocks:
-            arr = model.params[param][rows]
+        for name, start, shape in blocks:
             encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(struct.pack("<I", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<{1 + len(shape)}I", len(shape), *shape))
+            fh.write(np.ascontiguousarray(model.flat[start:start + math.prod(shape)], "<f8").tobytes())
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:
@@ -102,17 +100,18 @@ def _from_header(cls, blob, path, what: str):
     return cls(**blob)
 
 
-def _blocks(config: ModelConfig) -> list[tuple[str, str, slice, tuple[int, ...]]]:
-    """The file's weight blocks in file order: each one's name, the
-    parameter it belongs to, that parameter's rows it holds, and its shape.
-    A stacked LSTM array splits into ``GATES``-ordered gate blocks of equal
-    rows; the output layer stays whole."""
-    blocks = []
+def _blocks(config: ModelConfig) -> list[tuple[str, int, tuple[int, ...]]]:
+    """The file's weight blocks in file order: each one's name, the offset
+    of its run in the model's vector, and its shape.  A stacked LSTM array
+    splits into ``GATES``-ordered gate blocks of equal rows, each a run of
+    whole rows; the output layer stays whole."""
+    blocks, start = [], 0
     for param, (rows, *cols) in param_shapes(config).items():
         names = [param] if param.startswith("out.") else [param + g for g in GATES]
-        share = rows // len(names)
-        blocks += [(name, param, slice(k * share, (k + 1) * share), (share, *cols))
-                   for k, name in enumerate(names)]
+        shape = (rows // len(names), *cols)
+        for name in names:
+            blocks.append((name, start, shape))
+            start += math.prod(shape)
     return blocks
 
 
@@ -152,9 +151,8 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
         scaler = None if scaler_blob is None else _from_header(ScalerParams, scaler_blob, path, "scaler")
 
         # the blocks still to come, each removed as the file holds it
-        pending = {name: (param, rows, shape) for name, param, rows, shape in _blocks(config)}
-        shapes = param_shapes(config)
-        params = dict.fromkeys(PARAMS)  # each array is made at its first block
+        pending = {name: (start, shape) for name, start, shape in _blocks(config)}
+        flat = None
         (n_blocks,) = struct.unpack("<I", _read_exact(fh, 4, path, "block count"))
         for _ in range(n_blocks):
             (nlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "block name length"))
@@ -165,7 +163,7 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
                 raise ValueError(f"{path}: block name is not UTF-8: {raw_name!r}") from exc
             if name not in pending:
                 raise ValueError(f"{path}: unexpected or repeated weight block {name!r}")
-            param, rows, shape = pending.pop(name)
+            start, shape = pending.pop(name)
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, path, "block ndim"))
             if ndim != len(shape):
                 raise ValueError(f"{path}: block {name!r} has {ndim} dims, config implies {shape}")
@@ -174,17 +172,18 @@ def load_model(path) -> tuple[Seq2SeqModel, ScalerParams | None, dict]:
                 raise ValueError(
                     f"{path}: block {name!r} has shape {dims}, config implies {shape}"
                 )
-            raw = _read_exact(fh, 8 * math.prod(shape), path, f"block {name!r} data")
+            block = np.frombuffer(_read_exact(fh, 8 * math.prod(shape), path, f"block {name!r} data"),
+                                  dtype="<f8")
+            # training and inference run in float32; the test is false for NaN too
+            if not np.all(np.abs(block) <= np.finfo(np.float32).max):
+                raise ValueError(f"{path}: block {name!r} is not finite in float32")
             # made only once the file has held one of its blocks, so a corrupt
             # config never becomes an allocation
-            if params[param] is None:
-                params[param] = np.empty(shapes[param])
-            params[param][rows] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            # training and inference run in float32; the test is false for NaN too
-            if not np.all(np.abs(params[param][rows]) <= np.finfo(np.float32).max):
-                raise ValueError(f"{path}: block {name!r} is not finite in float32")
+            if flat is None:
+                flat = np.empty(sum(math.prod(shape) for shape in param_shapes(config).values()))
+            flat[start:start + block.size] = block
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last weight block")
     if pending:
         raise ValueError(f"{path}: weight blocks {sorted(pending)} missing")
-    return Seq2SeqModel(config=config, params=params), scaler, provenance
+    return Seq2SeqModel(config, flat), scaler, provenance

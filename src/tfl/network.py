@@ -26,31 +26,31 @@ one row count it picks one kernel (the batch-invariance fix of Horace He,
 Checked in float32 and float64 at hidden 3, 24, 49, 51 and 100, plain and
 attention, with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
 
-A model is its config plus one flat dict of trainable arrays keyed by
-``PARAMS``; the optimizer, the gradients and the model file all walk that
-dict, and only the file splits the stacked arrays per gate.
-``param_shapes`` is the one place the layer widths are stated.
+A model is its config plus one vector, viewed per array by ``params``;
+gradients come in the same layout, and only the model file splits the
+stacked arrays per gate.  ``param_shapes`` states the layer widths.
 
 The decoder's input is h_final at every step, so its input projection
 h_final @ W_x.T + b is formed once per batch as a (batch, 4 hidden) bias
 and a decoder step is only the recurrent GEMM; backward forms W_x's and
 h_final's gradients from the step-summed gate gradients, one GEMM each.
 
-The forward and backward passes run at the dtype of the params they are
+The forward and backward passes run at the dtype of the vector they are
 given: float32 in training (on a mirror of the float64 master weights, see
-``training.train``) and in ``predict_batch``, float64 in the tests'
-finite-difference check.  The model file is float64.  ``predict_batch``
-returns float64; a forecast can differ from the float64 forward's in about
-the 7th significant digit.  The pinned bits of trained models were taken
-with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).  The forward pass owns
-its overflow policy: ``_forward`` ignores overflow and invalid operations, per
-call and thread (so each ``predict_batch`` worker), and checks its predictions.
+``training.train``) and in ``predict_batch``, float64 in the model file and
+the tests' finite-difference check.  The forward pass owns its overflow
+policy: ``_forward`` ignores overflow and invalid operations, per call and
+thread (so each ``predict_batch`` worker), and checks its predictions;
+``predict_batch``'s float32 cast follows it.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -84,26 +84,36 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-# a model's trainable arrays, in the order gradients, the model file and training's
-# flat vector list them; the output layer comes last, as head-only training's tail
-PARAMS = ("enc.w", "enc.b", "dec.w", "dec.b", "out.w", "out.b")
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Seq2SeqModel:
-    """A model is its config plus its trainable arrays, keyed by ``PARAMS``.
-    An LSTM's gate preactivations are W @ [h_prev, x] + b; rows k*hidden to
+    """``flat`` holds the trainable arrays end to end in ``param_shapes``
+    order, the output layer last; ``params`` is a read-only mapping of views
+    into it, built once, and a copy is rebuilt from config and vector.  An
+    LSTM's gate preactivations are W @ [h_prev, x] + b; rows k*hidden to
     (k+1)*hidden of W and b belong to gate ``GATES[k]``.  The output layer
     maps features to one scalar: out.w . features + out.b."""
 
     config: ModelConfig
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
+    params: MappingProxyType = field(init=False, repr=False)
+
+    def __post_init__(self):
+        shapes = param_shapes(self.config)
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes.values()))
+        if self.flat.shape != (ends[-1],):
+            raise ValueError(f"{self.config} needs {ends[-1]} parameters, got shape {self.flat.shape}")
+        object.__setattr__(self, "params", MappingProxyType({
+            name: self.flat[start:end].reshape(shape)
+            for (name, shape), start, end in zip(shapes.items(), [0, *ends], ends)}))
+
+    def __reduce__(self):
+        return Seq2SeqModel, (self.config, self.flat)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every trainable array, in ``PARAMS`` order.  Inputs per step:
-    encoder 1, decoder ``hidden`` (h_final); output layer: decoder h, after
-    the attention context when there is one."""
+    """Shape of every trainable array, in the order of the model's vector.
+    Inputs per step: encoder 1, decoder ``hidden`` (h_final); output layer:
+    decoder h, after the attention context when there is one."""
     hid = config.hidden
     rows = len(GATES) * hid
     return {
@@ -119,30 +129,29 @@ def _gate_blocks(stacked: np.ndarray) -> list[np.ndarray]:
     return [stacked[..., k * hid:(k + 1) * hid] for k in range(len(GATES))]
 
 
-def _glorot(rows: int, cols: int, rng: Rng) -> np.ndarray:
-    bound = np.sqrt(6.0 / (rows + cols))
-    return rng.uniform_array(rows * cols, -bound, bound).reshape(rows, cols)
+def _glorot(out: np.ndarray, rng: Rng) -> None:
+    """Fill a (rows, cols) view with draws within Glorot's uniform bound."""
+    bound = np.sqrt(6.0 / sum(out.shape))
+    out[...] = rng.uniform_array(out.size, -bound, bound).reshape(out.shape)
 
 
 def init(config: ModelConfig, rng: Rng) -> Seq2SeqModel:
     """Glorot-uniform weights, zero biases; draw order is fixed (encoder
     gates f,i,c,o row-major, then decoder, then output) so a seed pins the
     model bitwise."""
-    shapes = param_shapes(config)
-    params = {}
+    model = Seq2SeqModel(config, np.zeros(sum(math.prod(s) for s in param_shapes(config).values())))
     for lstm in ("enc", "dec"):
-        rows, cols = shapes[lstm + ".w"]
         # one Glorot draw per gate block, each bounded by the block's own fan-in/out
-        params[lstm + ".w"] = np.concatenate([_glorot(rows // len(GATES), cols, rng) for _ in GATES])
-        params[lstm + ".b"] = np.zeros(rows)
-    params.update(init_output_layer(config, rng))
-    return Seq2SeqModel(config=config, params=params)
+        for block in np.split(model.params[lstm + ".w"], len(GATES)):
+            _glorot(block, rng)
+    init_output_layer(model, rng)
+    return model
 
 
-def init_output_layer(config: ModelConfig, rng: Rng) -> dict[str, np.ndarray]:
-    """Fresh ``out.w`` and ``out.b`` (used when re-targeting a trained model)."""
-    (width,) = param_shapes(config)["out.w"]
-    return {"out.w": _glorot(1, width, rng).reshape(width), "out.b": np.zeros(1)}
+def init_output_layer(model: Seq2SeqModel, rng: Rng) -> None:
+    """Re-target ``model`` in place: a fresh ``out.w`` and a zero ``out.b``."""
+    _glorot(model.params["out.w"][None], rng)
+    model.params["out.b"][:] = 0.0
 
 
 def _slab_matmul(a: np.ndarray, w_t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -229,13 +238,14 @@ def _lstm_backward(
     dh_seq: np.ndarray,
     dh_final: np.ndarray,
     dc_final: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    dw: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reverse the recurrence that ``_run_lstm(w, ...)`` ran.
 
     dh_seq carries external gradients on each h_t; dh_final/dc_final are
-    extra gradients on the last state.  Returns the gate preactivation
-    grads (T, B, 4 hidden), which are also the bias grads, the grad of w,
-    and the gradients on the initial state.
+    extra gradients on the last state.  Writes the grad of w into ``dw``;
+    returns the gate preactivation grads (T, B, 4 hidden), which are also
+    the bias grads, and the gradients on the initial state.
 
     Each gate's local derivative is formed for all steps at once, in place
     of the gate grads, so a reverse step is five elementwise calls, one
@@ -271,8 +281,8 @@ def _lstm_backward(
         np.multiply(dc, f[t], out=dc_carry)
         np.matmul(dpre, w_h, out=dh_carry)
     # the weight grad sums over every (step, window) row at once
-    dw = dpre_seq.reshape(T * B, -1).T @ cache.z[:-1].reshape(T * B, -1)
-    return dpre_seq, dw, dh_carry, dc_carry
+    np.matmul(dpre_seq.reshape(T * B, -1).T, cache.z[:-1].reshape(T * B, -1), out=dw)
+    return dpre_seq, dh_carry, dc_carry
 
 
 @dataclass
@@ -302,7 +312,7 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     mirror and ``predict_batch``'s copy.  An empty batch is refused.
     """
     cfg, p = model.config, model.params
-    dtype = p["enc.w"].dtype
+    dtype = model.flat.dtype
     inputs = np.asarray(inputs, dtype=dtype)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_past:
         raise ValueError(f"expected inputs (batch, {cfg.n_past}), got {inputs.shape}")
@@ -334,19 +344,20 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     return ForwardCache(enc=enc, dec=dec, preds=preds, attn=attn, feats=feats)
 
 
-def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of the (summed) loss wrt every parameter.
+def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray) -> Seq2SeqModel:
+    """Exact gradients of the (summed) loss wrt every parameter, written
+    into the views of a model of ``model``'s layout and dtype.
 
     dpreds is dLoss/dpredictions, shape (batch, n_future), cast to the
-    params' dtype; every gradient comes at that dtype.  Gradients flow
-    through the attention path and through both the decoder's repeated
-    input and its initial state back into the encoder.
+    params' dtype.  Gradients flow through the attention path and through
+    both the decoder's repeated input and its initial state back into the
+    encoder.
     """
     cfg, p = model.config, model.params
     if not isinstance(cache, ForwardCache) or any(
             seq.gates is None for seq in (cache.enc, cache.dec)):
         raise ValueError("backward requires the full ForwardCache from forward_batch")
-    dtype = p["enc.w"].dtype
+    dtype = model.flat.dtype
     dpreds = np.asarray(dpreds, dtype=dtype)
     if not dpreds.size:
         raise ValueError(EMPTY_BATCH)
@@ -369,26 +380,28 @@ def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray)
     else:
         ddec_seq = dfeats
 
+    grads = Seq2SeqModel(cfg, np.empty(model.flat.shape, dtype))
+    g = grads.params
     zero = np.zeros((B, hid), dtype)
     w_h, w_x = p["dec.w"][:, :hid], p["dec.w"][:, hid:]
-    dec_dpre, dw_h, ddec_h0, ddec_c0 = _lstm_backward(w_h, cache.dec, ddec_seq, zero, zero)
+    dec_dpre, ddec_h0, ddec_c0 = _lstm_backward(w_h, cache.dec, ddec_seq, zero, zero, g["dec.w"][:, :hid])
     # h_final fed every step through the one projection and started the recurrence
     dpre_sum = dec_dpre.sum(axis=0)  # (B, 4 hidden)
-    dec_dw = np.concatenate([dw_h, dpre_sum.T @ cache.enc.h[-1]], axis=1)
+    np.matmul(dpre_sum.T, cache.enc.h[-1], out=g["dec.w"][:, hid:])
+    np.sum(dpre_sum, axis=0, out=g["dec.b"])
     dh_final = dpre_sum @ w_x + ddec_h0
-    enc_dpre, enc_dw, _, _ = _lstm_backward(p["enc.w"], cache.enc, denc_seq, dh_final, ddec_c0)
+    enc_dpre, _, _ = _lstm_backward(p["enc.w"], cache.enc, denc_seq, dh_final, ddec_c0, g["enc.w"])
+    np.sum(enc_dpre, axis=(0, 1), out=g["enc.b"])
+    grads.flat[-p["out.w"].size - 1:] = output_grads(dpreds, cache.feats)
+    return grads
 
-    return {"enc.w": enc_dw, "enc.b": enc_dpre.sum(axis=(0, 1)),
-            "dec.w": dec_dw, "dec.b": dpre_sum.sum(axis=0),
-            **output_grads(dpreds, cache.feats)}
 
-
-def output_grads(dpreds: np.ndarray, feats: np.ndarray) -> dict[str, np.ndarray]:
+def output_grads(dpreds: np.ndarray, feats: np.ndarray) -> np.ndarray:
     """Gradients of the output layer alone, from dLoss/dpredictions (batch,
     n_future) and the features it read (n_future, batch, width), at the
-    features' dtype."""
+    features' dtype: the model vector's tail, ``out.w``'s then ``out.b``'s."""
     dy = np.asarray(dpreds, dtype=feats.dtype).T
-    return {"out.w": np.einsum("sb,sbk->k", dy, feats), "out.b": np.array([dy.sum()])}
+    return np.append(np.einsum("sb,sbk->k", dy, feats), dy.sum())
 
 
 def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
@@ -418,8 +431,8 @@ def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     if not len(inputs):
         return np.empty((0, model.config.n_future))
-    model32 = Seq2SeqModel(model.config, {name: arr.astype(np.float32)
-                                          for name, arr in model.params.items()})
+    with np.errstate(over="ignore"):
+        model32 = Seq2SeqModel(model.config, model.flat.astype(np.float32))
     chunks = [inputs[k:k + PREDICT_CHUNK] for k in range(0, len(inputs), PREDICT_CHUNK)]
     # the CPUs this process may run on; platforms without affinity report all
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()

@@ -1,8 +1,8 @@
 """Huber loss, Adam on one flat parameter vector, the training loop, and
 two-phase transfer learning.
 
-Training has two modes: ``train`` trains one flat float64 vector of the
-six blocks whole, or with ``head_only`` only its output-layer tail.
+Training has two modes: ``train`` trains a float64 copy of the model's
+vector whole, or with ``head_only`` only its output-layer tail.
 Transfer re-targets a trained model: the output layer is re-initialized,
 phase 1 trains only that layer (the head-only mode) at the higher
 learning rate, phase 2 trains every block and fine-tunes at the
@@ -17,7 +17,6 @@ BPTT; its batches and GEMM shapes are a full step's, and so are its bits.
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ import numpy as np
 from .dataset import WindowedDataset
 from .errors import NumericError
 from .network import (
-    PARAMS,
     Seq2SeqModel,
     _forward,
     backward_batch,
@@ -139,18 +137,18 @@ def train(
 ) -> tuple[Seq2SeqModel, list[float]]:
     """Minibatch Adam on a copy of the model; returns (model, per-epoch loss).
 
-    The copy is one float64 vector of the blocks in ``PARAMS`` order, whose
-    slices are the returned model's arrays.  A run trains all of it, or
-    with ``head_only`` the tail that holds ``out.w`` and ``out.b``, with no
-    backprop cache or BPTT.  Deterministic for a fixed seed: each epoch's
-    shuffle order comes from the toolkit's own stream, batches are visited
-    in order, and gradient reduction is a fixed summation.
+    The copy, which the returned model holds, is the model's vector at
+    float64.  A run trains all of it, or with ``head_only`` the tail that
+    holds ``out.w`` and ``out.b``, with no backprop cache or BPTT.
+    Deterministic for a fixed seed: each epoch's shuffle order comes from
+    the toolkit's own stream, batches are visited in order, and gradient
+    reduction is a fixed summation.
 
-    Mixed precision: forward and backward run on a float32 mirror vector,
+    Mixed precision: forward and backward run on a float32 mirror model,
     Huber is taken in float64, ``adam_step`` updates the trained slice in
-    float64 from its float32 gradients, and one copy rounds the slice into
-    the mirror.  The bits were pinned with numpy 2.4.6 on scipy-openblas
-    0.3.31 (x86-64).  Overflow and invalid operations are ignored, and each
+    float64 from the float32 gradient vector as the pass returns it, and
+    one copy rounds the slice into the mirror.  The bits were pinned with
+    numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).  Overflow and invalid operations are ignored, and each
     step's predictions and loss, then the mirror once at the end, are checked:
     weights that left float32's range raise ``NumericError``.
     """
@@ -164,20 +162,11 @@ def train(
             f"dataset windows ({data.n_past}->{data.n_future}) do not match "
             f"model config ({mc.n_past}->{mc.n_future})"
         )
-    params = model.params
-    bounds = np.cumsum([0] + [params[name].size for name in PARAMS])
-    master = np.concatenate([params[name] for name in PARAMS], axis=None, dtype=np.float64)
-    master32 = master.astype(np.float32)
-
-    def blocks(flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: flat[a:b].reshape(params[name].shape)
-                for name, a, b in zip(PARAMS, bounds, bounds[1:])}
-
-    model, mirror = Seq2SeqModel(mc, blocks(master)), Seq2SeqModel(mc, blocks(master32))
-    first = PARAMS.index("out.w") if head_only else 0
-    trained, trained32 = master[bounds[first]:], master32[bounds[first]:]
-    grads32 = np.empty(trained.shape, np.float32)
-    state = AdamState(trained.size, cfg.lr)
+    model = Seq2SeqModel(mc, model.flat.astype(np.float64))
+    mirror = Seq2SeqModel(mc, model.flat.astype(np.float32))
+    tail = model.params["out.w"].size + 1 if head_only else model.flat.size
+    trained, trained32 = model.flat[-tail:], mirror.flat[-tail:]
+    state = AdamState(tail, cfg.lr)
     rng = Rng(cfg.seed)
     history: list[float] = []
     for _ in range(cfg.epochs):
@@ -191,13 +180,12 @@ def train(
             loss, dpred = huber(fwd.preds, data.targets[idx])
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite at step {state.t + 1}")
-            grads = output_grads(dpred, fwd.feats) if head_only else backward_batch(mirror, fwd, dpred)
-            np.concatenate([grads[name] for name in PARAMS[first:]], axis=None, out=grads32)
-            adam_step(trained, grads32, state)
+            grads = output_grads(dpred, fwd.feats) if head_only else backward_batch(mirror, fwd, dpred).flat
+            adam_step(trained, grads, state)
             np.copyto(trained32, trained, casting="same_kind")
             total += loss * len(idx)
         history.append(total / len(data))
-    assert_finite(master32, "float32 weights after the last step")
+    assert_finite(mirror.flat, "float32 weights after the last step")
     return model, history
 
 
@@ -234,8 +222,8 @@ def transfer(
     if mismatches:
         raise ValueError("transfer config mismatch: " + "; ".join(mismatches))
 
-    model = copy.deepcopy(source)
-    model.params.update(init_output_layer(mc, Rng(seed)))
+    model = Seq2SeqModel(mc, source.flat.copy())
+    init_output_layer(model, Rng(seed))
     logs = []
     for name, cfg, head_only in (("freeze-body", cfg1, True), ("fine-tune", cfg2, False)):
         history = []

@@ -158,7 +158,7 @@ def gradient_check(
     blocks = []
     for name, arr in model.params.items():
         pieces = 1 if name.startswith("out.") else len(GATES)
-        blocks += zip(np.split(arr, pieces), np.split(grads[name], pieces))
+        blocks += zip(np.split(arr, pieces), np.split(grads.params[name], pieces))
     for arr, grad in blocks:
         flat = arr.reshape(-1)  # a view: row blocks of C-ordered arrays are contiguous
         count = min(samples_per_block, flat.size)

@@ -246,7 +246,7 @@ class TestTrainEvaluate:
         series, _ = load_csv(series_csv)
 
         def tables_at(ratio):
-            _, test_side = ds.split(series, ratio)
+            _, test_side = ds.split(series, ratio, min_points=8 + 3)
             windows = ds.make_windows(ds.scale(test_side.values, scaler), 8, 3)
             preds = net.predict_batch(model, windows.inputs)
             out = tmp_path / f"expected_{ratio}"

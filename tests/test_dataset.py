@@ -476,12 +476,12 @@ class TestMakeWindows:
 class TestSplit:
     def test_ratio_point(self):
         series = ds.TimeSeries(np.arange(100.0))
-        train, test = ds.split(series, 0.8)
+        train, test = ds.split(series, 0.8, min_points=5)
         assert len(train) == 80 and len(test) == 20
 
     def test_chronology(self):
         series = ds.TimeSeries(np.arange(50.0))
-        train, test = ds.split(series, 0.5)
+        train, test = ds.split(series, 0.5, min_points=5)
         train_end = train.start.timestamp() + (len(train) - 1) * train.interval
         assert train_end < test.start.timestamp()
         npt.assert_array_equal(np.concatenate([train.values, test.values]),
@@ -489,7 +489,7 @@ class TestSplit:
 
     def test_no_window_straddles_the_cut(self):
         series = ds.TimeSeries(np.arange(40.0))
-        train, test = ds.split(series, 0.5)
+        train, test = ds.split(series, 0.5, min_points=3 + 2)
         w_train = ds.make_windows(train.values, 3, 2)
         w_test = ds.make_windows(test.values, 3, 2)
         assert w_train.targets.max() < test.values.min()
@@ -504,7 +504,7 @@ class TestSplit:
         series = ds.TimeSeries(np.arange(10.0))
         for ratio in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError, match="ratio"):
-                ds.split(series, ratio)
+                ds.split(series, ratio, min_points=1)
 
 
 class TestConcatWindows:

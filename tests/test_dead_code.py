@@ -1,7 +1,7 @@
 """Every top-level function, class and constant in ``src/tfl``, public or
-private, is used by the program itself.  Code that only the tests call
-belongs in the tests (``tests/oracles.py`` holds the reference
-implementations)."""
+private, is used by the program itself, and every name a module imports at
+top level is read by that module.  Code that only the tests call belongs in
+the tests (``tests/oracles.py`` holds the reference implementations)."""
 
 import ast
 from pathlib import Path
@@ -52,8 +52,44 @@ def unused_definitions(src: Path) -> list[str]:
     return unused
 
 
+def unused_imports(src: Path) -> list[str]:
+    """``module.name`` of each name a top-level import binds that its module
+    never reads.  ``__init__.py`` imports to re-export, and ``from
+    __future__`` binds no name."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = []
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return unused
+
+
 def test_every_definition_is_used_in_src():
     assert unused_definitions(SRC) == []
+
+
+def test_every_import_is_read_in_src():
+    assert unused_imports(SRC) == []
+
+
+def test_import_guard_names_an_import_its_module_never_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text("import json\n\nfrom .a import used\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import copy\nimport math\nimport os.path\n\nimport numpy as np\n"
+        "from collections import OrderedDict as OD, deque\n\n\n"
+        "def used(x: np.ndarray) -> float:\n"
+        "    import json\n\n"
+        "    return math.pi + len(os.sep) + len(deque()) + len(json.dumps(x))\n")
+    assert unused_imports(tmp_path) == ["a.copy", "a.OD"]
 
 
 def test_guard_names_a_helper_only_tests_call(tmp_path):

@@ -130,6 +130,8 @@ class TestRoundTrip:
                 rows = slice(k * hid, (k + 1) * hid)
                 npt.assert_array_equal(data[f"{prefix}.w{g}"], model.params[prefix + ".w"][rows])
                 npt.assert_array_equal(data[f"{prefix}.b{g}"], model.params[prefix + ".b"][rows])
+        # taken in file order, the blocks are consecutive runs of the model's vector
+        assert b"".join(block.tobytes() for _, block in blocks) == model.flat.astype("<f8").tobytes()
 
     def test_missing_scaler_roundtrips_as_none(self, tmp_path):
         path = tmp_path / "m.tfl"

@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import functools
 import math
 import os
+import pickle
+import re
 import sys
 import threading
 import time
@@ -24,17 +28,19 @@ def zero_lstm(hidden: int, input_width: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((4 * hidden, hidden + input_width)), np.zeros(4 * hidden)
 
 
+def param_count(cfg: net.ModelConfig) -> int:
+    return sum(math.prod(shape) for shape in net.param_shapes(cfg).values())
+
+
 def zero_model(n_past=4, n_future=3, hidden=5, attention=False) -> net.Seq2SeqModel:
     cfg = net.ModelConfig(n_past=n_past, n_future=n_future, hidden=hidden,
                           attention=attention)
-    return net.Seq2SeqModel(
-        config=cfg, params={name: np.zeros(shape) for name, shape in net.param_shapes(cfg).items()})
+    return net.Seq2SeqModel(cfg, np.zeros(param_count(cfg)))
 
 
 def float32_copy(model: net.Seq2SeqModel) -> net.Seq2SeqModel:
     """The model with float32 params, as ``predict_batch`` runs it."""
-    return net.Seq2SeqModel(model.config, {name: arr.astype(np.float32)
-                                           for name, arr in model.params.items()})
+    return net.Seq2SeqModel(model.config, model.flat.astype(np.float32))
 
 
 # predict_batch's float32 forecasts against the float64 forward, in scaled
@@ -293,8 +299,8 @@ class TestBackward:
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
         cache = net.forward_batch(model, [[0.2, 0.4, 0.1, 0.9]])
         grads = net.backward_batch(model, cache, np.zeros((1, 2)))
-        assert list(model.params) == list(grads)
-        for name, g in grads.items():
+        assert list(model.params) == list(grads.params)
+        for name, g in grads.params.items():
             npt.assert_array_equal(g, np.zeros_like(g), err_msg=name)
 
     def test_wrong_gradient_length_rejected(self):
@@ -327,17 +333,19 @@ class TestBackward:
         # entry (the largest gap seen is 3.7, numpy 2.4.6 on OpenBLAS)
         tol = 32 * np.finfo(dtype).eps
         cfg = net.ModelConfig(n_past=12, n_future=6, hidden=hidden)
-        model = net.init(cfg, Rng(hidden))
-        model.params = {name: arr.astype(dtype) for name, arr in model.params.items()}
+        model = net.Seq2SeqModel(cfg, net.init(cfg, Rng(hidden)).flat.astype(dtype))
         rng = Rng(hidden + 1)
         cache = net.forward_batch(model, rng.uniform_array(32 * 12, 0, 1).reshape(32, 12))
         for w, seq in ((model.params["enc.w"], cache.enc),
                        (model.params["dec.w"][:, :hidden], cache.dec)):
+            # w's grad goes into a strided view, as the decoder's does
+            dw = np.full((w.shape[0], 2 * hidden + 1), np.nan, dtype)[:, :w.shape[1]]
             steps = len(seq.h)
             dh_seq, dh_final, dc_final = (
                 rng.uniform_array(n * 32 * hidden, -1, 1).reshape(-1, 32, hidden).astype(dtype)
                 for n in (steps, 1, 1))
-            got = net._lstm_backward(w, seq, dh_seq, dh_final[0], dc_final[0])
+            dpre, dh0, dc0 = net._lstm_backward(w, seq, dh_seq, dh_final[0], dc_final[0], dw)
+            got = (dpre, dw, dh0, dc0)
             want = oracles.lstm_backward(w, seq, dh_seq, dh_final[0], dc_final[0])
             for name, arr, ref in zip(("dpre", "dw", "dh0", "dc0"), got, want):
                 assert arr.dtype == dtype, name
@@ -369,7 +377,7 @@ class TestBackward:
         for name, arr in model.params.items():
             # six draws from each gate's rows of an LSTM array
             pieces = 1 if name.startswith("out.") else len(net.GATES)
-            blocks = zip(np.split(arr, pieces), np.split(grads[name], pieces))
+            blocks = zip(np.split(arr, pieces), np.split(grads.params[name], pieces))
             for k, (block, grad) in enumerate(blocks):
                 flat = block.reshape(-1)
                 for _ in range(min(6, flat.size)):
@@ -425,14 +433,78 @@ class TestInit:
     def test_params_follow_param_shapes(self, attention):
         cfg = net.ModelConfig(n_past=4, n_future=2, hidden=3, attention=attention)
         model = net.init(cfg, Rng(14))
-        assert list(model.params) == list(net.PARAMS) == list(net.param_shapes(cfg))
+        assert list(model.params) == list(net.param_shapes(cfg))
         for name, arr in model.params.items():
             assert arr.shape == net.param_shapes(cfg)[name], name
         cache = net.forward_batch(model, [[0.2, 0.4, 0.1, 0.9]])
         grads = net.backward_batch(model, cache, np.ones((1, 2)))
-        assert list(grads) == list(net.PARAMS)
+        assert list(grads.params) == list(net.param_shapes(cfg))
         for name, arr in model.params.items():
-            assert grads[name].shape == arr.shape, name
+            assert grads.params[name].shape == arr.shape, name
+
+
+class TestLayout:
+    """A model is its config plus one vector, and every array is a view of it."""
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_views_are_runs_of_the_vector_in_param_shapes_order(self, attention):
+        cfg = net.ModelConfig(n_past=4, n_future=2, hidden=3, attention=attention)
+        model = net.init(cfg, Rng(1))
+        at = 0
+        assert list(model.params) == list(net.param_shapes(cfg))
+        for (name, arr), shape in zip(model.params.items(), net.param_shapes(cfg).values()):
+            assert arr.shape == shape and np.shares_memory(arr, model.flat), name
+            assert arr.ctypes.data - model.flat.ctypes.data == at * model.flat.itemsize, name
+            at += arr.size
+        assert at == model.flat.size == param_count(cfg)
+
+    def test_params_is_read_only(self):
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
+        with pytest.raises(TypeError):
+            model.params["out.w"] = np.zeros(3)
+        with pytest.raises(TypeError):
+            del model.params["out.b"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.flat = np.zeros_like(model.flat)
+
+    @pytest.mark.parametrize("shape", [(-1,), (1,), "2-D"])
+    def test_vector_of_the_wrong_shape_is_refused(self, shape):
+        cfg = net.ModelConfig(n_past=4, n_future=2, hidden=3)
+        size = param_count(cfg)
+        flat = np.zeros((1, size)) if shape == "2-D" else np.zeros(size + shape[0])
+        with pytest.raises(ValueError, match=rf"needs {size} parameters, got shape "
+                                             rf"{re.escape(str(flat.shape))}$"):
+            net.Seq2SeqModel(cfg, flat)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda model: pickle.loads(pickle.dumps(model))])
+    def test_a_copy_views_its_own_vector(self, clone):
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3, attention=True), Rng(1))
+        dup = clone(model)
+        assert dup.config == model.config
+        assert dup.flat.tobytes() == model.flat.tobytes()
+        assert (dup.flat is model.flat) == (clone is copy.copy)
+        dup.flat[:] = 7.0
+        for name, arr in dup.params.items():
+            assert np.shares_memory(arr, dup.flat) and np.all(arr == 7.0), name
+
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_come_as_one_vector_at_the_params_dtype(self, attention, dtype):
+        cfg = net.ModelConfig(n_past=4, n_future=2, hidden=3, attention=attention)
+        model = net.Seq2SeqModel(cfg, net.init(cfg, Rng(2)).flat.astype(dtype))
+        windows = Rng(3).uniform_array(12, 0, 1).reshape(3, 4)
+        dpreds = Rng(4).uniform_array(6, -1, 1).reshape(3, 2)
+        cache = net.forward_batch(model, windows)
+        grads = net.backward_batch(model, cache, dpreds)
+        assert isinstance(grads, net.Seq2SeqModel) and grads.config == cfg
+        assert grads.flat.shape == model.flat.shape and grads.flat.dtype == dtype
+        assert grads.flat.flags.owndata and not np.shares_memory(grads.flat, model.flat)
+        for name, arr in grads.params.items():
+            assert arr.base is grads.flat, name
+        head = net.output_grads(dpreds, cache.feats)
+        assert head.dtype == dtype
+        assert grads.flat[-head.size:].tobytes() == head.tobytes()
 
 
 class TestForwardProperties:
@@ -482,11 +554,25 @@ class TestForwardProperties:
         windows = Rng(10).uniform_array(160, 0, 1).reshape(40, 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cache = net.forward_batch(net.Seq2SeqModel(model.config, {
-                name: arr.astype(dtype) for name, arr in model.params.items()}), windows)
+            cache = net.forward_batch(net.Seq2SeqModel(model.config, model.flat.astype(dtype)),
+                                      windows)
             preds = net.predict_batch(model, windows)
         assert np.all(cache.enc.gates[..., :3] == 0.0)  # the forget gate saturated
         assert np.all(np.isfinite(cache.preds)) and np.all(np.isfinite(preds))
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_predict_batch_weight_float32_cannot_hold_is_one_error(self, attention):
+        # the float32 cast overflows as the forward pass does, without a
+        # warning; the non-finite forecasts then raise
+        model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
+                                         attention=attention), Rng(9))
+        model.params["out.w"][0] = 1e300
+        windows = Rng(10).uniform_array(40, 0, 1).reshape(10, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite values in forward predictions$"):
+                net.predict_batch(model, windows)
+        assert model.params["out.w"][0] == 1e300
 
     @pytest.fixture()
     def lanes(self, monkeypatch):

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -66,13 +65,8 @@ def snapshot(model):
     return {name: arr.copy() for name, arr in model.params.items()}
 
 
-def flat_params(model):
-    """The model's blocks end to end in ``PARAMS`` order, as ``train`` lays them."""
-    return np.concatenate([model.params[name] for name in net.PARAMS], axis=None)
-
-
 def block_scaled_gradients(model, rng, dtype=np.float64):
-    """A gradient vector for ``flat_params(model)`` whose blocks each take
+    """A gradient vector for ``model.flat`` whose blocks each take
     a scale drawn from 1e-6, 1e-2 and 3."""
     return np.concatenate([rng.normal(scale=rng.choice([1e-6, 1e-2, 3.0]), size=arr.size)
                            for arr in model.params.values()]).astype(dtype)
@@ -80,7 +74,7 @@ def block_scaled_gradients(model, rng, dtype=np.float64):
 
 class TestAdamStep:
     def test_zero_gradients_leave_parameters(self):
-        params = flat_params(small_model())
+        params = small_model().flat.copy()
         before = params.copy()
         state = tr.AdamState(params.size, lr=0.01)
         tr.adam_step(params, np.zeros_like(params), state)
@@ -89,7 +83,7 @@ class TestAdamStep:
     def test_first_step_magnitude_is_learning_rate(self):
         # fresh state, gradient g: m_hat = g, v_hat = g^2, so the update is
         # lr * g / (|g| + eps) ~ lr * sign(g)
-        params = flat_params(small_model())
+        params = small_model().flat.copy()
         state = tr.AdamState(params.size, lr=0.001)
         grads = np.zeros_like(params)
         grads[-1] = 0.3  # out.b
@@ -102,7 +96,7 @@ class TestAdamStep:
     @pytest.mark.parametrize("hidden", [24, 100])
     def test_in_place_step_matches_allocating_formula(self, attention, hidden):
         model = small_model(attention=attention, seed=hidden, n_past=12, n_future=6, hidden=hidden)
-        params = flat_params(model)
+        params = model.flat.copy()
         reference = params.copy()
         state = tr.AdamState(params.size, lr=0.003)
         ref_state = tr.AdamState(params.size, lr=0.003)
@@ -119,7 +113,7 @@ class TestAdamStep:
         # training hands Adam float32 gradients: each moment update must equal
         # the one on the same gradients cast to float64 first
         model = small_model(hidden=24, seed=3)
-        params, wide = flat_params(model), flat_params(model)
+        params, wide = model.flat.copy(), model.flat.copy()
         state = tr.AdamState(params.size, lr=0.003)
         wide_state = tr.AdamState(params.size, lr=0.003)
         rng = np.random.default_rng(3)
@@ -132,7 +126,7 @@ class TestAdamStep:
         assert state.flat[:2].tobytes() == wide_state.flat[:2].tobytes()
 
     def test_shape_incongruence_rejected(self):
-        params = flat_params(small_model())
+        params = small_model().flat.copy()
         before = params.copy()
         state = tr.AdamState(params.size, lr=0.01)
         with pytest.raises(ValueError, match="shape"):
@@ -186,7 +180,7 @@ class TestTrain:
 
         def adam_step(params, grads, state):
             # the previous step's update reached the mirror's trained slice
-            mirror = flat_params(mirrors[-1])[-params.size:]
+            mirror = mirrors[-1].flat[-params.size:]
             assert mirror.tobytes() == params.astype(np.float32).tobytes()
             assert params.dtype == np.float64 and grads.dtype == np.float32
             steps.append(params.size)
@@ -204,7 +198,7 @@ class TestTrain:
             assert arr.dtype == np.float64, name
             assert mirrors[-1].params[name].tobytes() == arr.astype(np.float32).tobytes(), name
         head = model.params["out.w"].size + model.params["out.b"].size
-        assert steps == [head if head_only else flat_params(model).size] * len(mirrors)
+        assert steps == [head if head_only else model.flat.size] * len(mirrors)
         assert len(mirrors) == 2 * math.ceil(len(data) / 8)
         assert all(mirror is mirrors[0] for mirror in mirrors)
         assert mirrors[0] is not trained
@@ -222,9 +216,9 @@ class TestTrain:
 
     def test_returned_blocks_are_slices_of_one_vector(self):
         trained, _ = tr.train(small_model(seed=17), constant_windows(), tr.TrainConfig(epochs=1))
-        vector = trained.params["enc.w"].base
-        assert vector.ndim == 1 and vector.dtype == np.float64
-        assert vector.tobytes() == flat_params(trained).tobytes()
+        vector = trained.flat
+        assert vector.ndim == 1 and vector.dtype == np.float64 and vector.flags.owndata
+        assert vector.tobytes() == b"".join(arr.tobytes() for arr in trained.params.values())
         assert all(arr.base is vector for arr in trained.params.values())
 
     def test_two_seeded_runs_write_identical_model_files(self, tmp_path):
@@ -328,15 +322,12 @@ def reference_head_phase(source, data, epochs, batch, lr, seed):
     and BPTT through the frozen body on a float32 copy of the model, then
     float64 Adam on the output layer alone, whose new weights are written
     back into the copy."""
-    model = copy.deepcopy(source)
-    model.params.update(net.init_output_layer(model.config, Rng(seed)))
+    model = net.Seq2SeqModel(source.config, source.flat.copy())
+    net.init_output_layer(model, Rng(seed))
     head = ("out.w", "out.b")
-    bounds = np.cumsum([0] + [model.params[name].size for name in head])
     weights = np.concatenate([model.params[name] for name in head])
-    model.params.update({name: weights[a:b] for name, a, b in zip(head, bounds, bounds[1:])})
     state = tr.AdamState(weights.size, lr)
-    model32 = net.Seq2SeqModel(model.config, {name: arr.astype(np.float32)
-                                              for name, arr in model.params.items()})
+    model32 = net.Seq2SeqModel(model.config, model.flat.astype(np.float32))
     rng = Rng(seed)
     history = []
     for _ in range(epochs):
@@ -348,9 +339,9 @@ def reference_head_phase(source, data, epochs, batch, lr, seed):
             cache = net.forward_batch(model32, data.inputs[idx])
             loss, dpred = tr.huber(cache.preds, data.targets[idx])
             grads = net.backward_batch(model32, cache, dpred)
-            tr.adam_step(weights, np.concatenate([grads[name] for name in head]), state)
-            for name in head:
-                model32.params[name][...] = model.params[name]
+            tr.adam_step(weights, np.concatenate([grads.params[name] for name in head]), state)
+            for name, part in zip(head, np.split(weights, [-1])):
+                model.params[name][...] = model32.params[name][...] = part
             total += loss * len(idx)
         history.append(total / len(data))
     return model, history
@@ -416,7 +407,7 @@ class TestGradientCheck:
             for k in range(len(net.GATES)):
                 def corrupted(*args, name=name, k=k):
                     grads = exact(*args)
-                    rows = grads[name][k * hid : (k + 1) * hid]
+                    rows = grads.params[name][k * hid : (k + 1) * hid]
                     rows += 10.0 * (1.0 + np.abs(rows))
                     return grads
 
