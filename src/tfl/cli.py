@@ -381,13 +381,16 @@ def _evaluate_one(model_path: str, series: ds.TimeSeries) -> dict[str, ev.Metric
     test_windows = _windows_for(test_series.values, scaler, mc)
     preds_scaled = network.predict_batch(model, test_windows.inputs)
     stem = Path(model_path).stem
-    return {
-        f"metrics_{stem}_scaled": ev.per_step_table(preds_scaled, test_windows.targets),
-        f"metrics_{stem}_raw": ev.per_step_table(
-            ds.inverse_scale(preds_scaled, scaler),
-            ds.inverse_scale(test_windows.targets, scaler),
-        ),
-    }
+    try:
+        with np.errstate(over="raise"):  # an inf or nan metric is refused, as in stats
+            raw = [ds.inverse_scale(a, scaler) for a in (preds_scaled, test_windows.targets)]
+            return {
+                f"metrics_{stem}_scaled": ev.per_step_table(preds_scaled, test_windows.targets),
+                f"metrics_{stem}_raw": ev.per_step_table(*raw),
+            }
+    except FloatingPointError:
+        raise DataError(f"{model_path}: values up to {series.values.max():g} "
+                        "overflow the metric tables") from None
 
 
 def cmd_evaluate(cfg: dict) -> Path:

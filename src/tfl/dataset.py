@@ -364,15 +364,15 @@ def synth(profile: SynthProfile, length: int, start: datetime = DEFAULT_START) -
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     k = np.arange(length, dtype=np.float64)
-    values = (
-        profile.base_bps
-        + profile.daily_amp * np.sin(2.0 * np.pi * k / DAILY_PERIOD_SAMPLES)
-        + profile.weekly_amp * np.sin(2.0 * np.pi * k / WEEKLY_PERIOD_SAMPLES)
-        + profile.trend_per_day * (k / DAILY_PERIOD_SAMPLES)
-    )
-    if profile.noise_std > 0:
-        rng = Rng(profile.seed)
-        values = values + rng.normal_array(length, 0.0, profile.noise_std)
+    with np.errstate(over="ignore", invalid="ignore"):  # TimeSeries refuses what overflows
+        values = (
+            profile.base_bps
+            + profile.daily_amp * np.sin(2.0 * np.pi * k / DAILY_PERIOD_SAMPLES)
+            + profile.weekly_amp * np.sin(2.0 * np.pi * k / WEEKLY_PERIOD_SAMPLES)
+            + profile.trend_per_day * (k / DAILY_PERIOD_SAMPLES)
+        )
+        if profile.noise_std > 0:
+            values = values + Rng(profile.seed).normal_array(length, 0.0, profile.noise_std)
     if np.any(values < 0):
         raise DataError("synthetic profile produced negative traffic; reduce amplitudes or noise")
     return TimeSeries(values, start=start, interval=DEFAULT_INTERVAL)

@@ -14,17 +14,19 @@ hidden states, softmax-normalized over encoder positions.
 Everything runs batched, time-major (step, batch, width); a single window
 is a batch of one.  Each LSTM keeps its four gates stacked in one weight
 matrix, so a step is one GEMM (Appleyard, Kocisky & Blunsom 2016,
-arXiv:1604.01946, section 3) per ``SLAB`` rows that reads [h_{t-1}, x_t]
-from slot t of one (T+1)-slot array per run, where step t-1 wrote h.
+arXiv:1604.01946, section 3) that reads [h_{t-1}, x_t] from slot t of one
+(T+1)-slot array per run, where step t-1 wrote h.
 
-Every forward GEMM (the gate GEMMs, the decoder's input projection and the
-output layer) runs in slabs of ``SLAB`` rows, the last one zero-padded, so
-a window's forecast has the same bits whatever batch, position, chunk or
-worker it runs in: BLAS picks its GEMM kernel by the row count, and with
-one row count it picks one kernel (the batch-invariance fix of Horace He,
+The forward pass pads the batch once with zero windows to whole slabs of
+``SLAB`` rows, and every forward GEMM (the gate GEMMs, the decoder's input
+projection and the output layer) runs over those slabs, so a window's
+forecast has the same bits whatever batch, position, chunk or worker it
+runs in: BLAS picks its GEMM kernel by the row count, and with one row
+count it picks one kernel (the batch-invariance fix of Horace He,
 "Defeating Nondeterminism in LLM Inference", Thinking Machines Lab, 2025).
 Checked in float32 and float64 at hidden 3, 24, 49, 51 and 100, plain and
-attention, with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).
+attention, with numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).  The
+forward cache views the real windows alone: backward never reads a pad.
 
 A model is its config plus one vector, viewed per array by ``params``;
 gradients come in the same layout, and only the model file splits the
@@ -154,22 +156,6 @@ def init_output_layer(model: Seq2SeqModel, rng: Rng) -> None:
     model.params["out.b"][:] = 0.0
 
 
-def _slab_matmul(a: np.ndarray, w_t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[:] = a @ w_t`` for a (rows, K) ``a``, as GEMMs of ``SLAB`` rows.
-    The rows past the last whole slab run in a zero-padded slab of their own,
-    so a row's bits depend neither on how many rows ``a`` has nor on where
-    it sits among them."""
-    rows, width = a.shape
-    whole = rows - rows % SLAB
-    np.matmul(a[:whole].reshape(whole // SLAB, SLAB, width), w_t,
-              out=out[:whole].reshape(whole // SLAB, SLAB, out.shape[1]))
-    if whole < rows:
-        tail = np.zeros((SLAB, width), a.dtype)
-        tail[:rows - whole] = a[whole:]
-        out[whole:] = np.matmul(tail, w_t)[:rows - whole]
-    return out
-
-
 @dataclass
 class _SeqCache:
     """Everything the reversed pass needs from one LSTM run.
@@ -177,6 +163,7 @@ class _SeqCache:
     Slot t of ``z`` is step t's GEMM input [h_{t-1}, x_t], so ``h`` is the
     view z[1:, :, :hidden] and ``c`` holds c0 in slot 0.  A run without the
     backprop cache keeps ``z`` and one slot of ``c``, the last cell state.
+    A run covers the padded batch; ``first`` views its real windows.
     """
 
     z: np.ndarray               # (T+1, B, hidden+input); slot T's input part is unset
@@ -185,18 +172,21 @@ class _SeqCache:
     tanh_c: np.ndarray | None
     h: np.ndarray               # (T, B, hidden)
 
+    def first(self, n: int) -> _SeqCache:
+        """Views of the first ``n`` windows of every array."""
+        return _SeqCache(**{k: None if a is None else a[:, :n] for k, a in vars(self).items()})
+
 
 def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
               c0: np.ndarray, keep: bool = True) -> _SeqCache:
-    """Run the recurrence over ``xs`` (T, B, input; input may be 0 wide) from
-    (h0, c0); ``xs`` and ``h0`` are copied into ``z`` once.
+    """Run the recurrence over ``xs`` (T, B, input; B whole ``SLAB``-row
+    slabs, input may be 0 wide) from (h0, c0), copied into ``z`` once.
 
-    Every step writes into preallocated slots: the gate GEMM z[t] @ w.T in
-    ``SLAB``-row slabs, ``bias`` ((4H,) or (B, 4H)), the candidate's tanh
-    saved aside while one in-place sigmoid covers all 4H columns, then the
-    cell update and h_t into z[t+1].  Without ``keep`` there is one slot of
-    gates and one of the cell state, updated in place.  The slots take
-    ``w``'s dtype.
+    Every step writes into preallocated slots: the gate GEMM z[t] @ w.T over
+    the slabs, ``bias`` ((4H,) or (B, 4H)), the candidate's tanh saved aside
+    while one in-place sigmoid covers all 4H columns, then the cell update
+    and h_t into z[t+1].  Without ``keep`` there is one slot of gates and
+    one of the cell state, updated in place.  The slots take ``w``'s dtype.
     """
     T, B, width = xs.shape
     hid = h0.shape[1]
@@ -211,13 +201,15 @@ def _run_lstm(w: np.ndarray, bias: np.ndarray, xs: np.ndarray, h0: np.ndarray,
     c = np.empty((T + 1 if keep else 1, B, hid), dtype)
     c[0] = c0
     # per slot, built once: the views a step reads and writes, its four gate blocks last
-    steps = list(zip(gates, tanh_c, c, c[1:] if keep else c, *_gate_blocks(gates)))
+    steps = list(zip(gates.reshape(slots, -1, SLAB, gates.shape[-1]), gates, tanh_c, c,
+                     c[1:] if keep else c, *_gate_blocks(gates)))
+    z_slabs = z.reshape(T + 1, -1, SLAB, z.shape[-1])
     w_t = np.ascontiguousarray(w.T)  # a strided w.T slows the slab GEMMs 1.4-5x
     cand = slice(2 * hid, 3 * hid)
     g_act = np.empty((B, hid), dtype)
     for t in range(T):
-        act, tc, c_prev, c_t, f, i, g, o = steps[t if keep else 0]
-        _slab_matmul(z[t], w_t, act)
+        act_slabs, act, tc, c_prev, c_t, f, i, g, o = steps[t if keep else 0]
+        np.matmul(z_slabs[t], w_t, out=act_slabs)
         act += bias
         np.tanh(act[:, cand], out=g_act)
         sigmoid(act)
@@ -287,13 +279,13 @@ def _lstm_backward(
 
 @dataclass
 class ForwardCache:
-    """Batched forward activations kept for backprop."""
+    """Batched forward activations kept for backprop, the real windows' views."""
 
     enc: _SeqCache
     dec: _SeqCache
-    preds: np.ndarray         # (B, n_future)
-    attn: np.ndarray | None   # (n_future, B, n_past)
-    feats: np.ndarray         # (n_future, B, width): what the output layer read,
+    preds: np.ndarray         # (n, n_future)
+    attn: np.ndarray | None   # (n_future, n, n_past)
+    feats: np.ndarray         # (n_future, n, width): what the output layer read,
                               # [attention context, decoder h], or dec.h itself
 
 
@@ -316,16 +308,19 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
     inputs = np.asarray(inputs, dtype=dtype)
     if inputs.ndim != 2 or inputs.shape[1] != cfg.n_past:
         raise ValueError(f"expected inputs (batch, {cfg.n_past}), got {inputs.shape}")
-    B = inputs.shape[0]
-    if B == 0:
+    n = inputs.shape[0]
+    if n == 0:
         raise ValueError(EMPTY_BATCH)
+    B = n + -n % SLAB  # zero windows pad the batch to whole slabs
     hid = cfg.hidden
+    xs = np.zeros((cfg.n_past, B, 1), dtype)
+    xs[:, :n, 0] = inputs.T
     zero = np.zeros((B, hid), dtype)
-    enc = _run_lstm(p["enc.w"], p["enc.b"], inputs.T[:, :, None], zero, zero, keep)
+    enc = _run_lstm(p["enc.w"], p["enc.b"], xs, zero, zero, keep)
     h_final = enc.h[-1]
     w_h, w_x = p["dec.w"][:, :hid], p["dec.w"][:, hid:]
     # the constant input, projected once; the (B, 4 hidden) bias goes with the run
-    proj = _slab_matmul(h_final, np.ascontiguousarray(w_x.T), np.empty((B, 4 * hid), dtype))
+    proj = np.matmul(h_final.reshape(-1, SLAB, hid), np.ascontiguousarray(w_x.T)).reshape(B, -1)
     proj += p["dec.b"]
     dec = _run_lstm(w_h, proj, np.empty((cfg.n_future, B, 0), dtype), h_final, enc.c[-1], keep)
     attn, feats = None, dec.h
@@ -337,11 +332,11 @@ def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCach
         attn = softmax(scores).transpose(1, 0, 2)
         np.matmul(attn.transpose(1, 0, 2), enc_b, out=feats[:, :, :hid].transpose(1, 0, 2))
     # the output layer in slabs too, one row per (step, window)
-    out = _slab_matmul(feats.reshape(cfg.n_future * B, feats.shape[-1]), p["out.w"][:, None],
-                       np.empty((cfg.n_future * B, 1), dtype))
-    preds = out.reshape(cfg.n_future, B).T + p["out.b"][0]  # (B, n_future)
+    out = np.matmul(feats.reshape(-1, SLAB, feats.shape[-1]), p["out.w"][:, None])
+    preds = out.reshape(cfg.n_future, B)[:, :n].T + p["out.b"][0]  # (n, n_future)
     assert_finite(preds, "forward predictions")
-    return ForwardCache(enc=enc, dec=dec, preds=preds, attn=attn, feats=feats)
+    return ForwardCache(enc=enc.first(n), dec=dec.first(n), preds=preds,
+                        attn=None if attn is None else attn[:, :n], feats=feats[:, :n])
 
 
 def backward_batch(model: Seq2SeqModel, cache: ForwardCache, dpreds: np.ndarray) -> Seq2SeqModel:

@@ -100,6 +100,15 @@ class TestSynthStats:
             f"data error: noise_std must be finite and >= 0, got {float(noise)}"]
         assert not out.parent.exists()
 
+    def test_overflowing_profile_is_one_line_data_error(self, tmp_path):
+        # the sum overflows to inf without a warning, and TimeSeries refuses it
+        out = tmp_path / "s.csv"
+        code, lines = run_in(tmp_path, ["synth", "--out", str(out),
+                                        "--base-bps", "1e308", "--daily-amp", "8e307"])
+        assert code == 2
+        assert lines == ["data error: series contains non-finite values"]
+        assert not out.exists()
+
     def test_stats_prints_and_writes(self, tmp_path, series_csv, capsys):
         out = tmp_path / "stats.csv"
         assert main(["stats", "--data", str(series_csv), "--out", str(out)]) == 0
@@ -144,6 +153,21 @@ class TestAugment:
 
 
 class TestTrainEvaluate:
+    @pytest.mark.parametrize("base, amp, noise", [("1e200", "4e199", "1e198"),
+                                                  ("1.5e308", "2e307", "1e305")])
+    def test_metrics_that_overflow_are_one_line_data_error(self, tmp_path, base, amp, noise):
+        # a valid series whose raw-unit errors or their squares leave float64
+        data, model_path = tmp_path / "s.csv", tmp_path / "m.tfl"
+        assert main(["synth", "--out", str(data), "--length", "400", "--base-bps", base,
+                     "--daily-amp", amp, "--noise-std", noise, "--seed", "11"]) == 0
+        assert main(train_args(data, model_path, hidden="3", epochs="1")) == 0
+        code, lines = run_in(tmp_path, ["evaluate", "--data", str(data), "--model",
+                                        str(model_path), "--out-dir", "ev"])
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith(f"data error: {model_path}: values up to ")
+        assert lines[0].endswith(" overflow the metric tables")
+        assert not (tmp_path / "ev").exists()
+
     def test_train_produces_artifacts(self, tmp_path, series_csv):
         model_path = tmp_path / "run" / "m.tfl"
         assert main(train_args(series_csv, model_path)) == 0

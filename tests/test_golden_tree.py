@@ -15,9 +15,12 @@ windows.  The SHA-256 of every file it leaves, and each command's exit code, std
 
 The pipeline runs in a child process whose BLAS runs one thread
 (``PINNED_ENV``): OpenBLAS splits the backward pass's weight-gradient GEMMs
-(inner dimension steps x batch) by thread, so a batch that is not a multiple
-of 8 windows trains to other bits under 1 and 2 threads.  The hidden 24
-transfer's last batch holds 38 windows.
+(inner dimension steps x batch) by thread once the batch holds a few dozen
+windows.  In float32 at hidden 24 and 100, every batch of 38-79 windows
+that is not a multiple of 8 trains to other bits under 1 and 2 threads, and
+so do batches of 127, 200 and 259; in float64 at hidden 100 every batch
+from 26 windows does, multiples of 8 included.  The hidden 24 transfer's
+last batch holds 38 windows.
 
 A change that moves these bits on purpose rewrites the JSON with
 
@@ -46,7 +49,9 @@ import numpy as np
 
 GOLDEN = Path(__file__).with_name("golden_tree.json")
 
-# the pipeline's BLAS runs one thread, as the benchmark's commands do
+# the pipeline's BLAS runs one thread, as the benchmark's commands do: at two,
+# the backward pass's weight gradients change bits for ragged batches from 38
+# windows and for some whole-slab ones (200 at hidden 24 and 100)
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 _BODY = ["--hidden", "6", "--batch", "32", "--seed", "7"]

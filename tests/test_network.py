@@ -91,11 +91,14 @@ def ref_decode(model: net.Seq2SeqModel, h_final, c_final):
 
 def run_cell(params, xs):
     """One batched LSTM run from the zero state over a single sequence xs
-    of shape (T, input)."""
+    of shape (T, input), as row 0 of a batch padded with zero sequences to
+    one ``SLAB``; the checks read row 0."""
     w, b = params
-    xs = np.asarray(xs, dtype=np.float64)[:, None, :]
-    zero = np.zeros((1, len(b) // 4))
-    return net._run_lstm(w, b, xs, zero, zero)
+    xs = np.asarray(xs, dtype=np.float64)
+    padded = np.zeros((len(xs), net.SLAB, xs.shape[1]))
+    padded[:, 0] = xs
+    zero = np.zeros((net.SLAB, len(b) // 4))
+    return net._run_lstm(w, b, padded, zero, zero)
 
 
 class TestLstmStep:
@@ -167,7 +170,25 @@ class TestEncode:
             npt.assert_array_equal(seq.z[1:, :, :4], seq.h)
             npt.assert_array_equal(seq.z[0, :, :4], h0)
         npt.assert_array_equal(cache.enc.z[:-1, :, 4], window.T)
-        assert cache.feats is cache.dec.h
+        assert np.shares_memory(cache.feats, cache.dec.h)
+        npt.assert_array_equal(cache.feats, cache.dec.h)
+
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 257])
+    def test_cache_holds_the_real_windows_only(self, n, attention, keep):
+        # the forward pass pads the batch to whole slabs; what backward and
+        # head-only training read has the n real windows on its batch axis
+        model = net.init(net.ModelConfig(n_past=5, n_future=3, hidden=4, attention=attention),
+                         Rng(n))
+        cache = net._forward(model, Rng(n + 1).uniform_array(5 * n, 0, 1).reshape(n, 5), keep)
+        assert cache.preds.shape == (n, 3)
+        batched = [cache.feats] + ([cache.attn] if attention else [])
+        for seq in (cache.enc, cache.dec):
+            batched += [a for a in vars(seq).values() if a is not None]
+        assert len(batched) == (11 if keep else 7) + attention
+        for a in batched:
+            assert a.shape[1] == n, a.shape
 
     def test_wrong_length_rejected(self):
         model = zero_model(n_past=4)
@@ -198,8 +219,9 @@ class TestBatchInvariance:
     @example(batch=9, row=8, seed=1)
     @settings(max_examples=20, derandomize=True, deadline=None)
     def test_predict_batch_row_equals_a_batch_of_one(self, hidden, attention, batch, row, seed):
-        # every forward GEMM runs in 8-row slabs, so a window's float32 bits
-        # do not depend on the batch, its place in it, the chunk or the worker
+        # the forward pass pads every batch to whole 8-row slabs, so every
+        # forward GEMM runs on 8 rows and a window's float32 bits do not
+        # depend on the batch, its place in it, the chunk or the worker
         model = seeded_model(hidden, attention)
         windows = Rng(seed).uniform_array(batch * 12, 0, 1).reshape(batch, 12)
         preds = net.predict_batch(model, windows)
@@ -593,8 +615,8 @@ class TestForwardProperties:
         for attention in (False, True):
             model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3,
                                              attention=attention), Rng(9))
-            # every forward GEMM runs in 8-row slabs, so any chunking gives
-            # the bits of the whole batch through the float32 forward
+            # every batch is padded to whole 8-row slabs, so any chunking
+            # gives the bits of the whole batch through the float32 forward
             whole32 = net._forward(float32_copy(model), windows, keep=False).preds
             whole = net.forward_batch(model, windows).preds
             for chunk in (1, 3, len(windows), len(windows) + 5):
