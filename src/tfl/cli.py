@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from . import dataset as ds
 from . import evaluation as ev
 from . import model_io, network, training, wavelet
 from .errors import DataError, NumericError, UsageError
-from .numeric import Rng
+from .numeric import Rng, quiet
 
 _FMT = "%.15g"
 
@@ -378,19 +378,19 @@ def _evaluate_one(model_path: str, series: ds.TimeSeries) -> dict[str, ev.Metric
         raise DataError(f"{model_path}: model file records no float split; cannot evaluate")
     mc = model.config
     _, test_series = ds.split(series, split_ratio, min_points=mc.n_past + mc.n_future)
-    test_windows = _windows_for(test_series.values, scaler, mc)
-    preds_scaled = network.predict_batch(model, test_windows.inputs)
     stem = Path(model_path).stem
-    try:
-        with np.errstate(over="raise"):  # an inf or nan metric is refused, as in stats
-            raw = [ds.inverse_scale(a, scaler) for a in (preds_scaled, test_windows.targets)]
-            return {
-                f"metrics_{stem}_scaled": ev.per_step_table(preds_scaled, test_windows.targets),
-                f"metrics_{stem}_raw": ev.per_step_table(*raw),
-            }
-    except FloatingPointError:
+    with quiet():  # a non-finite metric, which makes its average one, is refused below
+        test_windows = _windows_for(test_series.values, scaler, mc)
+        preds_scaled = network.predict_batch(model, test_windows.inputs)
+        raw = [ds.inverse_scale(a, scaler) for a in (preds_scaled, test_windows.targets)]
+        tables = {
+            f"metrics_{stem}_scaled": ev.per_step_table(preds_scaled, test_windows.targets),
+            f"metrics_{stem}_raw": ev.per_step_table(*raw),
+        }
+    if not np.all(np.isfinite([astuple(table.average) for table in tables.values()])):
         raise DataError(f"{model_path}: values up to {series.values.max():g} "
-                        "overflow the metric tables") from None
+                        "overflow the metric tables")
+    return tables
 
 
 def cmd_evaluate(cfg: dict) -> Path:
@@ -419,7 +419,7 @@ def cmd_report(cfg: dict) -> Path:
     stats = ev.improvements(before, after)
     out_dir = Path(cfg["out_dir"])
     ev.write_improvements(stats, out_dir)
-    print(f"average WAPE improvement {np.mean(stats.deltas):.4f} pp; "
+    print(f"average WAPE improvement {stats.mean:.4f} pp; "
           f"IQR {stats.iqr:.4f}; outliers {len(stats.outliers)}")
     return out_dir
 

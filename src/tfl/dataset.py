@@ -15,7 +15,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 
 from .errors import DataError
-from .numeric import Rng
+from .numeric import Rng, quiet
 
 DEFAULT_INTERVAL = 300.0
 DEFAULT_START = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -57,8 +57,8 @@ class TimeSeries:
 class SummaryStats:
     """Population mean/std/var and Fisher skewness.
 
-    ``skewness`` is None when the series is constant (std == 0), where the
-    moment ratio is undefined.
+    ``skewness`` is None where the moment ratio is undefined, std ** 3 == 0
+    in float64: the series is constant, or its spread is below about 1e-108.
     """
 
     mean: float
@@ -183,7 +183,7 @@ def load_csv(path) -> tuple[TimeSeries, int]:
 
     deltas = np.array(gaps)
     step = float(deltas.min())
-    with np.errstate(over="ignore"):  # an infinite ratio fails the slot total below
+    with quiet():  # an infinite ratio fails the slot total below
         ratio = deltas / step
     slots = np.rint(ratio)  # half to even, as round() does
     # the grid size in float, checked before any int64 cast can wrap: at most
@@ -226,7 +226,7 @@ def _fill_gaps(values: np.ndarray, slots: np.ndarray) -> tuple[np.ndarray, int]:
     j = np.arange(1, ends[-1] + 1) - np.repeat(ends - slots, slots)
     filled = np.empty(ends[-1] + 1)
     filled[0] = values[0]
-    with np.errstate(over="ignore"):  # an overflow left in place fails TimeSeries' check
+    with quiet():  # an overflow left in place fails TimeSeries' check
         filled[1:] = values[k] + (values[k + 1] - values[k]) * j / slots[k]
     filled[ends] = values[1:]  # the rows themselves, not their interpolated form
     return filled, int(ends[-1]) - len(slots)
@@ -263,16 +263,15 @@ def summary_stats(series) -> SummaryStats:
     values = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=np.float64)
     if len(values) < 2:
         raise DataError(f"summary statistics need >= 2 points, got {len(values)}")
-    try:
-        with np.errstate(over="raise"):
-            mean = float(values.mean())
-            centered = values - mean
-            var = float(np.mean(centered ** 2))
-            std = math.sqrt(var)
-            skew = None if std == 0.0 else float(np.mean(centered ** 3) / std ** 3)
-    except (FloatingPointError, OverflowError):
-        raise DataError(f"values up to {values.max():g} overflow the summary statistics") from None
-    return SummaryStats(mean=mean, std=std, var=var, skewness=skew)
+    with quiet():  # numpy scalars throughout: Python float arithmetic raises on overflow
+        mean = values.mean()
+        centered = values - mean
+        var = np.mean(centered ** 2)
+        std = np.sqrt(var)
+        skew = None if std ** 3 == 0.0 else np.mean(centered ** 3) / std ** 3
+    if not np.all(np.isfinite([mean, var, 0.0 if skew is None else skew])):
+        raise DataError(f"values up to {values.max():g} overflow the summary statistics")
+    return SummaryStats(float(mean), float(std), float(var), None if skew is None else float(skew))
 
 
 def fit_scaler(train: np.ndarray) -> ScalerParams:
@@ -364,7 +363,7 @@ def synth(profile: SynthProfile, length: int, start: datetime = DEFAULT_START) -
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     k = np.arange(length, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # TimeSeries refuses what overflows
+    with quiet():  # TimeSeries refuses what overflows
         values = (
             profile.base_bps
             + profile.daily_amp * np.sin(2.0 * np.pi * k / DAILY_PERIOD_SAMPLES)

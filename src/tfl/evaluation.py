@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numeric import quiet
+
 _FMT = "%.15g"  # 15 significant digits per column
 
 METRICS_HEADER = ("step", "mae", "rmse", "wape")
@@ -84,10 +86,11 @@ def outliers(values) -> list[tuple[int, float]]:
 
 @dataclass
 class ImprovementStats:
-    """Per-step WAPE deltas (positive = error reduction) with their
+    """Per-step WAPE deltas (positive = error reduction) with their mean,
     quartile spread and Tukey outliers (step is 1-based)."""
 
     deltas: np.ndarray
+    mean: float
     q1: float
     q3: float
     iqr: float
@@ -95,13 +98,18 @@ class ImprovementStats:
 
 
 def improvements(before: MetricsTable, after: MetricsTable) -> ImprovementStats:
-    """Step-wise WAPE improvement from ``before`` to ``after``."""
+    """Step-wise WAPE improvement from ``before`` to ``after``; ``ValueError`` if it overflows."""
     if len(before.per_step) != len(after.per_step):
         raise ValueError(f"horizon mismatch: {len(before.per_step)} vs {len(after.per_step)}")
     deltas = np.array([b.wape - a.wape for b, a in zip(before.per_step, after.per_step)])
-    q1, q3, spread = iqr(deltas)
-    marked = [(k + 1, v) for k, v in outliers(deltas)]
-    return ImprovementStats(deltas=deltas, q1=q1, q3=q3, iqr=spread, outliers=marked)
+    with quiet():
+        mean = np.mean(deltas)
+        q1, q3, spread = iqr(deltas)
+        marked = [(k + 1, v) for k, v in outliers(deltas)]
+    if not np.all(np.isfinite([mean, spread])):  # a non-finite delta makes the mean one
+        top = max(abs(r.wape) for r in (*before.per_step, *after.per_step))
+        raise ValueError(f"step WAPEs up to {top:g} overflow the improvement summary")
+    return ImprovementStats(deltas, float(mean), q1, q3, spread, marked)
 
 
 def _write_rows(path: Path, header, rows) -> None:

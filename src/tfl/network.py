@@ -40,10 +40,10 @@ h_final's gradients from the step-summed gate gradients, one GEMM each.
 The forward and backward passes run at the dtype of the vector they are
 given: float32 in training (on a mirror of the float64 master weights, see
 ``training.train``) and in ``predict_batch``, float64 in the model file and
-the tests' finite-difference check.  The forward pass owns its overflow
-policy: ``_forward`` ignores overflow and invalid operations, per call and
-thread (so each ``predict_batch`` worker), and checks its predictions;
-``predict_batch``'s float32 cast follows it.
+the tests' finite-difference check.  ``forward_batch`` runs under
+``numeric.quiet``, per call and thread (so each ``predict_batch`` worker),
+and refuses non-finite predictions; so does ``predict_batch``, which casts
+the params to float32 under it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .numeric import Rng, assert_finite, sigmoid, softmax
+from .numeric import Rng, assert_finite, quiet, sigmoid, softmax
 
 GATES = ("f", "i", "c", "o")
 
@@ -289,15 +289,11 @@ class ForwardCache:
                               # [attention context, decoder h], or dec.h itself
 
 
-def forward_batch(model: Seq2SeqModel, inputs: np.ndarray) -> ForwardCache:
-    """Run encoder + decoder + output layer over a batch of windows."""
-    return _forward(model, inputs, keep=True)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _forward(model: Seq2SeqModel, inputs: np.ndarray, keep: bool) -> ForwardCache:
-    """The forward pass; ``keep=False`` skips the per-step backprop cache and
-    keeps only the hidden sequences that attention and the output layer read.
+@quiet()
+def forward_batch(model: Seq2SeqModel, inputs: np.ndarray, keep: bool = True) -> ForwardCache:
+    """Run encoder + decoder + output layer over a batch of windows;
+    ``keep=False`` skips the per-step backprop cache and keeps only the
+    hidden sequences that attention and the output layer read.
 
     ``feats`` is ``dec.h``, or with attention [context, copy of ``dec.h``].
     Everything runs at the dtype of the params: float32 for training's
@@ -399,6 +395,7 @@ def output_grads(dpreds: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return np.append(np.einsum("sb,sbk->k", dy, feats), dy.sum())
 
 
+@quiet()
 def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
     """Predictions for many windows, in ``PREDICT_CHUNK``-window chunks run
     on a thread pool of one worker per CPU this process may use, at most one
@@ -426,12 +423,11 @@ def predict_batch(model: Seq2SeqModel, inputs: np.ndarray) -> np.ndarray:
     inputs = np.asarray(inputs, dtype=np.float64)
     if not len(inputs):
         return np.empty((0, model.config.n_future))
-    with np.errstate(over="ignore"):
-        model32 = Seq2SeqModel(model.config, model.flat.astype(np.float32))
+    model32 = Seq2SeqModel(model.config, model.flat.astype(np.float32))
     chunks = [inputs[k:k + PREDICT_CHUNK] for k in range(0, len(inputs), PREDICT_CHUNK)]
     # the CPUs this process may run on; platforms without affinity report all
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     # leaving the block shuts the pool down, joining every worker
     with ThreadPoolExecutor(min(cpus or 1, len(chunks))) as pool:
-        parts = list(pool.map(lambda chunk: _forward(model32, chunk, keep=False).preds, chunks))
+        parts = list(pool.map(lambda chunk: forward_batch(model32, chunk, keep=False).preds, chunks))
     return np.concatenate(parts).astype(np.float64)

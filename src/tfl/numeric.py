@@ -2,9 +2,9 @@
 
 Everything downstream (network, training, augmentation) builds on the
 handful of operations here.  ``sigmoid`` and ``softmax`` are bare kernels
-that keep their float array's dtype; the passes that call them own the
-overflow policy (``network._forward`` and ``training.train``).  Matrices are
-plain 2-D ``numpy`` arrays in row-major layout.
+that keep their float array's dtype; ``quiet`` is the one floating-point
+policy, for them and every other pass.  Matrices are plain 2-D ``numpy``
+arrays in row-major layout.
 
 The random generator is a hand-rolled splitmix64 (Steele, Lea & Flood's
 mixing constants) rather than the platform default, so that a seed
@@ -131,6 +131,12 @@ def softmax(v: np.ndarray) -> np.ndarray:
     """Max-subtracted softmax of a non-empty float array along its last axis."""
     ev = np.exp(v - np.max(v, axis=-1, keepdims=True))
     return ev / np.sum(ev, axis=-1, keepdims=True)
+
+
+def quiet() -> np.errstate:
+    """A fresh error state (one per ``with`` block or decorated function) ignoring overflow,
+    division by zero and invalid operations; a pass refuses a non-finite result as it leaves."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 def assert_finite(arr: np.ndarray, what: str) -> None:

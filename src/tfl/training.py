@@ -25,15 +25,8 @@ import numpy as np
 
 from .dataset import WindowedDataset
 from .errors import NumericError
-from .network import (
-    Seq2SeqModel,
-    _forward,
-    backward_batch,
-    forward_batch,
-    init_output_layer,
-    output_grads,
-)
-from .numeric import Rng, assert_finite
+from .network import Seq2SeqModel, backward_batch, forward_batch, init_output_layer, output_grads
+from .numeric import Rng, assert_finite, quiet
 
 DEFAULT_PHASE1_LR = 0.001
 DEFAULT_PHASE2_LR = 0.0001
@@ -128,7 +121,7 @@ class TrainConfig:
             raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@quiet()
 def train(
     model: Seq2SeqModel,
     data: WindowedDataset,
@@ -148,9 +141,10 @@ def train(
     Huber is taken in float64, ``adam_step`` updates the trained slice in
     float64 from the float32 gradient vector as the pass returns it, and
     one copy rounds the slice into the mirror.  The bits were pinned with
-    numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).  Overflow and invalid operations are ignored, and each
-    step's predictions and loss, then the mirror once at the end, are checked:
-    weights that left float32's range raise ``NumericError``.
+    numpy 2.4.6 on scipy-openblas 0.3.31 (x86-64).  The run computes under
+    ``numeric.quiet``, and each step's predictions and loss, then the mirror
+    once at the end, are checked: weights that left float32's range raise
+    ``NumericError``.
     """
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -176,7 +170,7 @@ def train(
         for k in range(0, len(order), cfg.batch):
             idx = order[k : k + cfg.batch]
             inputs = data.inputs[idx]
-            fwd = _forward(mirror, inputs, keep=False) if head_only else forward_batch(mirror, inputs)
+            fwd = forward_batch(mirror, inputs, keep=not head_only)
             loss, dpred = huber(fwd.preds, data.targets[idx])
             if not math.isfinite(loss):
                 raise NumericError(f"training loss became non-finite at step {state.t + 1}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import TimeSeries
 from .errors import DataError
-from .numeric import Rng
+from .numeric import Rng, quiet
 
 # 8-tap Daubechies lowpass (4 vanishing moments), standard published values.
 _DB4_LOWPASS = [
@@ -192,13 +192,15 @@ class CorpusEntry:
     provenance: dict
 
 
+@quiet()
 def expand_dataset(original: TimeSeries, cfg: AugmentConfig, copies: int) -> list[CorpusEntry]:
     """Original plus ``copies`` independently perturbed variants.
 
     Copy k draws from the child stream ``Rng.derive(cfg.seed, k)``, so
     generating copies in parallel or serially yields the same corpus.
     Reconstructed values that dip below zero are clamped to keep the
-    series contract; the clamp count lands in the provenance.
+    series contract; the clamp count lands in the provenance.  ``TimeSeries``
+    refuses a copy that overflowed under ``numeric.quiet``.
     """
     if copies < 1:
         raise ValueError(f"copies must be >= 1, got {copies}")

@@ -152,6 +152,22 @@ class TestAugment:
         assert not out_dir.exists()
 
 
+    @pytest.mark.parametrize("command", ["augment", "transfer"])
+    def test_copies_that_overflow_are_one_line_data_error(self, tmp_path, trained, command):
+        # the series is finite; its wavelet copies leave float64
+        data, source, out = tmp_path / "huge.csv", tmp_path / "src.tfl", tmp_path / "out"
+        write_csv(TimeSeries([1.7e308, 1e307] * 150), data)
+        source.write_bytes(trained[1])
+        argv = {"augment": ["augment", "--data", str(data), "--out-dir", str(out),
+                            "--copies", "2"],
+                "transfer": ["transfer", "--source-model", str(source), "--data", str(data),
+                             "--out", str(out / "m.tfl"), "--augment-copies", "2"]}[command]
+        code, lines = run_in(tmp_path, argv)
+        assert code == 2
+        assert lines == ["data error: series contains non-finite values"]
+        assert not out.exists()
+
+
 class TestTrainEvaluate:
     @pytest.mark.parametrize("base, amp, noise", [("1e200", "4e199", "1e198"),
                                                   ("1.5e308", "2e307", "1e305")])
@@ -166,6 +182,18 @@ class TestTrainEvaluate:
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith(f"data error: {model_path}: values up to ")
         assert lines[0].endswith(" overflow the metric tables")
+        assert not (tmp_path / "ev").exists()
+
+    def test_test_side_past_the_scaler_is_one_line_data_error(self, tmp_path):
+        # the train side spans 1e-10, so the test side's 1e300 scales past
+        # float64; the forecast stays finite, and its errors do not
+        data, model_path = tmp_path / "s.csv", tmp_path / "m.tfl"
+        write_csv(TimeSeries([1.0 + 1e-10 * (k % 2) for k in range(320)] + [1e300] * 80), data)
+        assert main(train_args(data, model_path, hidden="3", epochs="1")) == 0
+        code, lines = run_in(tmp_path, ["evaluate", "--data", str(data), "--model",
+                                        str(model_path), "--out-dir", "ev"])
+        assert code == 2
+        assert lines == [f"data error: {model_path}: values up to 1e+300 overflow the metric tables"]
         assert not (tmp_path / "ev").exists()
 
     def test_train_produces_artifacts(self, tmp_path, series_csv):
@@ -643,6 +671,19 @@ class TestReportCli:
         assert (out_dir / "summary.csv").read_text().splitlines() == \
             ["q1,q3,iqr,n_outliers", "0,0,0,0"]
 
+    def test_deltas_whose_spread_overflows_are_one_line_data_error(self, tmp_path):
+        # each table is valid; the deltas alternate +-1.7e308, and q3 - q1 overflows
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        for path, first in ((before, 1.7e308), (after, 0.0)):
+            rows = (f"{k},1,1,{wape!r}" for k, wape in enumerate([first, 1.7e308 - first] * 3, 1))
+            path.write_text("\n".join(["step,mae,rmse,wape", *rows, "average,1,1,8.5e307"]) + "\n")
+        out_dir = tmp_path / "report"
+        code, lines = run_in(tmp_path, ["report", "--before", str(before), "--after", str(after),
+                                        "--out-dir", str(out_dir)])
+        assert code == 2
+        assert lines == ["data error: step WAPEs up to 1.7e+308 overflow the improvement summary"]
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("lines, line, problem", BAD_AFTER_TABLES)
     def test_malformed_table_is_one_line_data_error(self, tmp_path, capsys, lines, line, problem):
         before, after = tmp_path / "before.csv", tmp_path / "after.csv"
@@ -899,3 +940,56 @@ class TestNumericFailureLines:
         assert code == 3
         assert lines == ["numeric failure: non-finite values in float32 weights after the last step"]
         assert not out.exists()
+
+
+def _numbers(path: Path) -> list[float]:
+    """Every number in a metrics, report or stats CSV, below its header."""
+    rows = path.read_text().splitlines()[1:]
+    return [float(cell) for row in rows for cell in row.split(",")
+            if cell not in ("average", "undefined")]
+
+
+@st.composite
+def _mixed_magnitudes(draw) -> list[float]:
+    """300 values m * 10^e, m in [1, 1.7], e within a band of decades drawn
+    from -300 to 308: narrow bands reach the commands' success paths, wide
+    ones and those up to 1.7e308 their overflow checks."""
+    lo = draw(st.integers(-300, 308))
+    hi = draw(st.one_of(st.just(308), st.integers(lo, 308)))
+    decades = draw(st.lists(st.integers(lo, hi), min_size=300, max_size=300))
+    return [draw(st.floats(1.0, 1.7)) * 10.0 ** e for e in decades]
+
+
+class TestMagnitudeSweep:
+    """Series whose values mix magnitudes from 1e-300 to float64's largest,
+    run through every command in-process: each ends in exit 0 or a one-line
+    data error, with no warning (the suite turns one into an error), and
+    every table it writes holds finite numbers only."""
+
+    @given(_mixed_magnitudes())
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_every_command_ends_in_0_or_one_data_error(self, tmp_path_factory, trained, values):
+        top = tmp_path_factory.mktemp("sweep")
+        data = str(top / "s.csv")
+        write_csv(TimeSeries(values), data)
+        (top / "src.tfl").write_bytes(trained[1])
+        codes = {}
+
+        def run(command, *argv):
+            code, lines = run_in(top, [command, *argv])
+            assert code in (0, 2), (command, lines)
+            assert_one_line_outcome(code, lines)
+            codes[command] = code
+
+        run("stats", "--data", data, "--out", "stats.csv")
+        run(*train_args(data, "m.tfl", hidden="3", epochs="1"))
+        run("augment", "--data", data, "--out-dir", "aug", "--copies", "1")
+        run("transfer", "--source-model", "src.tfl", "--data", data, "--out", "t.tfl",
+            "--augment-copies", "1", "--phase1-epochs", "1", "--phase2-epochs", "1")
+        run("evaluate", "--model", "src.tfl,m.tfl" if codes["train"] == 0 else "src.tfl",
+            "--data", data, "--out-dir", "ev")
+        if codes["evaluate"] == 0:
+            run("report", "--before", "ev/metrics_src_scaled.csv",
+                "--after", "ev/metrics_src_raw.csv", "--out-dir", "report")
+        for path in [*top.glob("stats.csv"), *top.glob("ev/*.csv"), *top.glob("report/*.csv")]:
+            assert np.all(np.isfinite(_numbers(path))), path

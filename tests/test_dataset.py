@@ -382,6 +382,12 @@ class TestSummaryStats:
         assert stats.var == 0.0
         assert stats.skewness is None
 
+    def test_spread_too_small_to_cube_signals_undefined_skewness(self):
+        # std is about 1.2e-120, so std ** 3 is 0 in float64 and so is the third moment
+        stats = ds.summary_stats(np.array([1e-120, 2e-120, 4e-120]))
+        assert stats.std > 0.0
+        assert stats.skewness is None
+
     def test_symmetric_data_zero_skewness(self):
         stats = ds.summary_stats(np.array([1.0, 2.0, 3.0]))
         assert abs(stats.skewness) < 1e-12

@@ -1,7 +1,8 @@
 """Every top-level function, class and constant in ``src/tfl``, public or
 private, is used by the program itself, and every name a module imports at
 top level is read by that module.  Code that only the tests call belongs in
-the tests (``tests/oracles.py`` holds the reference implementations)."""
+the tests (``tests/oracles.py`` holds the reference implementations).  The
+floating-point policy is set in ``numeric.py`` alone (``numeric.quiet``)."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,21 @@ def unused_imports(src: Path) -> list[str]:
     return unused
 
 
+# the names that set or catch numpy's floating-point error state
+FLOAT_POLICY_NAMES = ("errstate", "seterr", "FloatingPointError")
+
+
+def float_policy_sites(src: Path) -> list[str]:
+    """``module.name`` of each floating-point policy name a module other
+    than ``numeric.py`` reads."""
+    sites = []
+    for path in sorted(src.glob("*.py")):
+        if path.name != "numeric.py":
+            used = _identifiers(ast.parse(path.read_text(), filename=str(path)))
+            sites += [f"{path.stem}.{name}" for name in FLOAT_POLICY_NAMES if name in used]
+    return sites
+
+
 def test_every_definition_is_used_in_src():
     assert unused_definitions(SRC) == []
 
@@ -105,3 +121,18 @@ def test_guard_names_a_helper_only_tests_call(tmp_path):
         "VALUE = used() + _kept()\n")
     (tmp_path / "b.py").write_text("from .a import Kept as K\n")
     assert unused_definitions(tmp_path) == ["a.orphan", "a._private", "a.SPARE", "a.VALUE"]
+
+
+def test_float_policy_lives_in_numeric_alone():
+    assert float_policy_sites(SRC) == []
+
+
+def test_float_policy_guard_names_a_module_that_sets_its_own(tmp_path):
+    (tmp_path / "numeric.py").write_text(
+        "import numpy as np\n\n\ndef quiet():\n    return np.errstate(over='ignore')\n")
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n\n\n@np.errstate(over='raise')\ndef f():\n    pass\n")
+    (tmp_path / "b.py").write_text(
+        "def g():\n    try:\n        pass\n    except FloatingPointError:\n        pass\n")
+    (tmp_path / "c.py").write_text('"""A docstring may name np.errstate."""\n')
+    assert float_policy_sites(tmp_path) == ["a.errstate", "b.FloatingPointError"]

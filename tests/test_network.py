@@ -164,7 +164,7 @@ class TestEncode:
         # the plain model's output layer reads the decoder's h itself
         model = net.init(net.ModelConfig(n_past=6, n_future=2, hidden=4), Rng(6))
         window = np.linspace(0, 1, 6)[None, :]
-        cache = net._forward(model, window, keep=keep)
+        cache = net.forward_batch(model, window, keep=keep)
         for seq, h0 in ((cache.enc, np.zeros((1, 4))), (cache.dec, cache.enc.h[-1])):
             assert np.shares_memory(seq.h, seq.z)
             npt.assert_array_equal(seq.z[1:, :, :4], seq.h)
@@ -181,7 +181,7 @@ class TestEncode:
         # head-only training read has the n real windows on its batch axis
         model = net.init(net.ModelConfig(n_past=5, n_future=3, hidden=4, attention=attention),
                          Rng(n))
-        cache = net._forward(model, Rng(n + 1).uniform_array(5 * n, 0, 1).reshape(n, 5), keep)
+        cache = net.forward_batch(model, Rng(n + 1).uniform_array(5 * n, 0, 1).reshape(n, 5), keep)
         assert cache.preds.shape == (n, 3)
         batched = [cache.feats] + ([cache.attn] if attention else [])
         for seq in (cache.enc, cache.dec):
@@ -617,7 +617,7 @@ class TestForwardProperties:
                                              attention=attention), Rng(9))
             # every batch is padded to whole 8-row slabs, so any chunking
             # gives the bits of the whole batch through the float32 forward
-            whole32 = net._forward(float32_copy(model), windows, keep=False).preds
+            whole32 = net.forward_batch(float32_copy(model), windows, keep=False).preds
             whole = net.forward_batch(model, windows).preds
             for chunk in (1, 3, len(windows), len(windows) + 5):
                 monkeypatch.setattr(net, "PREDICT_CHUNK", chunk)
@@ -650,9 +650,9 @@ class TestForwardProperties:
         # chunk 2's, whatever order the chunks fail in
         lanes(4)
         monkeypatch.setattr(net, "PREDICT_CHUNK", 4)
-        forward = net._forward
+        forward = net.forward_batch
 
-        def forward_failing_chunks(model, inputs, keep):
+        def forward_failing_chunks(model, inputs, keep=True):
             chunk = int(inputs[0, 0]) // 4
             if chunk == 2:
                 time.sleep(0.2)
@@ -660,7 +660,7 @@ class TestForwardProperties:
                 raise ValueError(f"chunk {chunk}")
             return forward(model, inputs, keep)
 
-        monkeypatch.setattr(net, "_forward", forward_failing_chunks)
+        monkeypatch.setattr(net, "forward_batch", forward_failing_chunks)
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(9))
         windows = np.repeat(np.arange(40.0)[:, None], 4, axis=1)  # window k holds k
         with pytest.raises(ValueError, match="^chunk 2$"):
@@ -675,7 +675,7 @@ class TestForwardProperties:
         windows = Rng(4).uniform_array(300 * 12, 0, 1).reshape(300, 12)
         assert net.PREDICT_CHUNK < len(windows)
         preds = net.predict_batch(model, windows)
-        npt.assert_array_equal(preds, net._forward(float32_copy(model), windows, keep=False).preds)
+        npt.assert_array_equal(preds, net.forward_batch(float32_copy(model), windows, keep=False).preds)
         npt.assert_allclose(preds, net.forward_batch(model, windows).preds,
                             rtol=0, atol=FLOAT32_GAP)
 
@@ -712,7 +712,7 @@ class TestForwardProperties:
     def test_backward_rejects_inference_cache(self):
         model = net.init(net.ModelConfig(n_past=4, n_future=2, hidden=3), Rng(1))
         windows = np.array([[0.2, 0.4, 0.1, 0.9], [0.3, 0.5, 0.7, 0.2]])
-        cache = net._forward(model, windows, keep=False)
+        cache = net.forward_batch(model, windows, keep=False)
         npt.assert_array_equal(cache.preds, net.forward_batch(model, windows).preds)
         with pytest.raises(ValueError, match="full ForwardCache"):
             net.backward_batch(model, cache, np.zeros((2, 2)))

@@ -188,7 +188,6 @@ class TestTrain:
 
         real_adam_step = tr.adam_step
         monkeypatch.setattr(tr, "forward_batch", recorded(tr.forward_batch))
-        monkeypatch.setattr(tr, "_forward", recorded(tr._forward))
         monkeypatch.setattr(tr, "adam_step", adam_step)
         model = small_model(seed=14)
         data = make_windows(Rng(4).uniform_array(60, 0, 1), 8, 3)
@@ -372,7 +371,13 @@ class TestHeadPhase:
         def refuse(*args, **kwargs):
             raise AssertionError("phase 1 ran the full backprop path")
 
-        monkeypatch.setattr(tr, "forward_batch", refuse)
+        def forward_without_cache(model, inputs, keep=True):
+            if keep:
+                refuse()
+            return forward(model, inputs, keep)
+
+        forward = tr.forward_batch
+        monkeypatch.setattr(tr, "forward_batch", forward_without_cache)
         monkeypatch.setattr(tr, "backward_batch", refuse)
         source = small_model(attention=attention, seed=4)
         data = make_windows(Rng(3).uniform_array(60, 0, 1), 8, 3)
